@@ -279,12 +279,10 @@ def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
 
 
 def build_scene(cfg: dict, checked_flag: Optional[bool]) -> Scene:
-    grid_sec = _section(cfg, "grid")
-    lower = tuple(float(x) for x in grid_sec["lower"])
-    upper = tuple(float(x) for x in grid_sec["upper"])
+    grid = build_grid(cfg)
     return Scene(
-        lower=lower,
-        upper=upper,
+        lower=grid.lower,
+        upper=grid.upper,
         params=build_params(cfg),
         coeffs=build_coeffs(cfg),
         initial=build_initial_factory(cfg),
@@ -307,6 +305,14 @@ def _out_dir(cfg: dict) -> str:
     return path
 
 
+def _every(out_sec: dict, key: str) -> int:
+    """An output interval in steps: a non-negative integer, 0 disables."""
+    every = _get(out_sec, "output", key, int)
+    if every < 0:
+        raise ConfigError(f"output.{key} must be >= 0 (0 disables), got {every}")
+    return every
+
+
 def cmd_run(args) -> int:
     cfg = _prepare(args)
     grid = build_grid(cfg)
@@ -316,8 +322,8 @@ def cmd_run(args) -> int:
     options = build_options(cfg, args.checked)
     initial = build_initial_factory(cfg)(grid)
     out_sec = _section(cfg, "output")
-    diagnostics_every = int(out_sec.get("diagnostics_every", 1))
-    snapshot_every = int(out_sec.get("snapshot_every", 0))
+    diagnostics_every = _every(out_sec, "diagnostics_every")
+    snapshot_every = _every(out_sec, "snapshot_every")
     out_dir = _out_dir(cfg)
 
     def on_snapshot(step: int, state: State) -> None:

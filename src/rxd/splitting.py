@@ -234,8 +234,10 @@ def run_simulation(
         state, row = full_step(
             state, tc.dt, params, coeffs, options, collect=want_row
         )
+        # k * dt rather than a running sum of dt, which drifts by roundoff.
+        state.time = initial.time + k * tc.dt
         if row is not None:
-            row = replace(row, step=k)
+            row = replace(row, step=k, time=state.time)
             if options.checked:
                 for label, now, ref in (
                     ("<a+c,1>", row.mass_ac, mass_ac0),

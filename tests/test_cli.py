@@ -218,6 +218,34 @@ def test_study_space_rejects_two_resolutions(tmp_path, capsys):
     assert "three mesh sizes" in capsys.readouterr().err
 
 
+def test_study_space_rejects_scalar_grid_bound(tmp_path, capsys):
+    code = run_cli("study-space", "--out", str(tmp_path / "out"), "--set", "grid.lower=5")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "grid.lower" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["diagnostics_every", "snapshot_every"])
+def test_run_rejects_negative_output_interval(tmp_path, capsys, key):
+    code = run_cli(*fast_run_args(tmp_path, "--set", f"output.{key}=-1"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"output.{key}" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_run_summary_time_does_not_drift(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--out", str(out), "--set", "grid.n=8", "--set", "time.dt=0.01",
+        "--set", "time.t_final=0.2",
+    )
+    assert code == 0
+    assert "to t=0.20000000000000001," in capsys.readouterr().out
+    last = (out / "diagnostics.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "20" and float(last[1]) == 0.2
+
+
 def test_inspect(tmp_path, capsys):
     g = Grid(1, 4, (0.0,), (1.0,))
     path = tmp_path / "f.txt"

@@ -145,6 +145,20 @@ def test_run_simulation_cadence_and_sinks():
     assert no_rows == []
 
 
+def test_run_simulation_time_is_step_count_times_dt():
+    # A running sum of dt ends 20 steps of 0.01 at 0.20000000000000004.
+    g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
+    final, rows = run_simulation(
+        make_initial_condition(g), TimeConfig(0.01, 0.2), P_UNIT, COEFFS
+    )
+    assert final.time == 0.2
+    assert [row.time for row in rows] == [k * 0.01 for k in range(21)]
+    # a nonzero start time is offset, not accumulated
+    start = State.uniform(g, 1.0, 1.0, 1.0, time=1.5)
+    final, _ = run_simulation(start, TimeConfig(0.01, 0.2), P_UNIT, COEFFS)
+    assert final.time == 1.5 + 20 * 0.01
+
+
 def test_run_simulation_is_deterministic():
     g = Grid(2, 16, (-1.0, -1.0), (1.0, 1.0))
     tables = []
