@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, PositivityError
 from .grid import Coefficient, DiffusionCoeffs, Grid, ModelParams, State
-from .snapshots import read_field, write_field
+from .snapshots import format_float, read_field, write_field
 from .splitting import (
     SolverOptions,
     TimeConfig,
@@ -137,13 +137,22 @@ def _get(sec: dict, section: str, key: str, kind, required: bool = True):
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {value!r}") from exc
+        raise ConfigError(f"{section}.{key}: cannot parse {value!r} ({exc})") from exc
+
+
+def _integer(value) -> int:
+    """An integral number as int; 8.7, "8" and true are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError("not an integer")
+    return int(value)
 
 
 def build_grid(cfg: dict, n_override: Optional[int] = None) -> Grid:
     sec = _section(cfg, "grid")
-    dim = _get(sec, "grid", "dim", int)
-    n = n_override if n_override is not None else _get(sec, "grid", "n", int)
+    dim = _get(sec, "grid", "dim", _integer)
+    n = n_override if n_override is not None else _get(sec, "grid", "n", _integer)
     lower = tuple(_get(sec, "grid", "lower", list))
     upper = tuple(_get(sec, "grid", "upper", list))
     try:
@@ -216,11 +225,10 @@ def build_options(cfg: dict, checked_flag: Optional[bool]) -> SolverOptions:
     sec = _section(cfg, "solver")
     out = _section(cfg, "output")
     checked = checked_flag if checked_flag is not None else bool(out.get("checked", True))
-    max_iter = sec.get("cg_max_iter")
     return SolverOptions(
         reaction_tol=_get(sec, "solver", "reaction_tol", float),
         cg_tol=_get(sec, "solver", "cg_tol", float),
-        cg_max_iter=None if max_iter is None else int(max_iter),
+        cg_max_iter=_get(sec, "solver", "cg_max_iter", _integer, required=False),
         checked=checked,
     )
 
@@ -258,7 +266,7 @@ def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
 
         def factory(grid: Grid) -> State:
             fields = {}
-            time = None
+            times = {}
             for name, path in paths.items():
                 if not os.path.exists(path):
                     raise ConfigError(f"initial.{name}: snapshot not found: {path}")
@@ -268,9 +276,11 @@ def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
                         f"initial.{name}: snapshot grid {f.grid} does not match "
                         f"the configured grid {grid}"
                     )
-                fields[name] = f
-                time = t if time is None else time
-            return State(fields["a"], fields["b"], fields["c"], time)
+                fields[name], times[name] = f, t
+            if len(set(times.values())) > 1:
+                stamps = ", ".join(f"{name}: t={format_float(t)}" for name, t in times.items())
+                raise ConfigError(f"initial: snapshot time stamps differ ({stamps})")
+            return State(fields["a"], fields["b"], fields["c"], times["a"])
 
         return factory
     raise ConfigError(
@@ -307,7 +317,7 @@ def _out_dir(cfg: dict) -> str:
 
 def _every(out_sec: dict, key: str) -> int:
     """An output interval in steps: a non-negative integer, 0 disables."""
-    every = _get(out_sec, "output", key, int)
+    every = _get(out_sec, "output", key, _integer)
     if every < 0:
         raise ConfigError(f"output.{key} must be >= 0 (0 disables), got {every}")
     return every
@@ -340,11 +350,11 @@ def cmd_run(args) -> int:
     write_diagnostics_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
     if rows:
         print(
-            f"run complete: {tc.steps} steps to t={final.time:.17g}, "
-            f"energy {rows[0].energy:.17g} -> {rows[-1].energy:.17g}"
+            f"run complete: {tc.steps} steps to t={format_float(final.time)}, "
+            f"energy {format_float(rows[0].energy)} -> {format_float(rows[-1].energy)}"
         )
     else:
-        print(f"run complete: {tc.steps} steps to t={final.time:.17g}")
+        print(f"run complete: {tc.steps} steps to t={format_float(final.time)}")
     return 0
 
 
@@ -356,7 +366,7 @@ def cmd_study_time(args) -> int:
         raise ConfigError("study_time.dts must list at least two step sizes")
     ref_dt = _get(sec, "study_time", "ref_dt", float)
     t_final = _get(sec, "study_time", "t_final", float)
-    n = _get(sec, "study_time", "n", int)
+    n = _get(sec, "study_time", "n", _integer)
     scene = build_scene(cfg, args.checked if args.checked is not None else False)
     grid = build_grid(cfg, n_override=n)
     try:
@@ -391,8 +401,10 @@ def cmd_inspect(args) -> int:
     field, time = read_field(args.snapshot)
     g = field.grid
     v = field.values
-    print(f"rxd-field v1: dim={g.dim} n={g.n} lower={g.lower} upper={g.upper} t={time:.17g}")
-    print(f"min={v.min():.17g} max={v.max():.17g} mean={v.mean():.17g}")
+    print(f"rxd-field v1: dim={g.dim} n={g.n} lower={g.lower} upper={g.upper} "
+          f"t={format_float(time)}")
+    print(f"min={format_float(v.min())} max={format_float(v.max())} "
+          f"mean={format_float(v.mean())}")
     return 0
 
 

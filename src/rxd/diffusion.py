@@ -1,7 +1,8 @@
 """Diffusion stage: implicit Euler via matrix-free, spectrally preconditioned CG.
 
-Each species is advanced by solving (I - dt div(D grad)) u = u* with the
-divergence-form stencil from :mod:`rxd.grid`.  The operator is symmetric
+Each species (one row of the stacked state) is advanced by solving
+(I - dt div(D grad)) u = u*; the operator applies the one divergence-form
+stencil, :func:`rxd.grid.div_grad`, as ``v - dt L(v)``.  It is symmetric
 positive definite, so the solve uses conjugate gradients, applied
 matrix-free.  The preconditioner M is the same operator with every face
 coefficient replaced by its mean along that axis: on this periodic uniform
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .grid import Coefficient, DiffusionCoeffs, Field, State, face_coefficient
+from .grid import Coefficient, DiffusionCoeffs, Field, State, div_grad, face_coefficient
 
 DEFAULT_TOL = 1e-10
 
@@ -55,13 +56,7 @@ class _ImplicitDiffusionOperator:
             self.symbol += dt * 4.0 * np.mean(dface) / grid.h**2 * np.sin(np.pi * k / n) ** 2
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        h = self.grid.h
-        out = v.copy()
-        for axis, dface in enumerate(self.faces):
-            array_axis = self.grid.dim - 1 - axis
-            flux = dface * (np.roll(v, -1, axis=array_axis) - v) / h
-            out -= self.dt * (flux - np.roll(flux, 1, axis=array_axis)) / h
-        return out
+        return v - self.dt * div_grad(v, self.faces, self.grid.h)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """Apply M^-1, the inverse of the operator at mean face coefficients."""
@@ -133,9 +128,9 @@ def step_diffusion(
     :class:`PositivityError` is raised instead of silently clipping.
     """
     state_star.require_positive("step_diffusion input")
-    fields = []
+    u = np.empty_like(state_star.u)
     reports = []
-    for (name, f), d in zip(state_star.species(), coeffs.per_species()):
+    for (name, f), d, row in zip(state_star.species(), coeffs.per_species(), u):
         u_next, report = step_diffusion_species(f, d, dt, tol, max_iter)
         m = u_next.values.min()
         if not m > 0.0:
@@ -144,7 +139,6 @@ def step_diffusion(
                 f"diffusion update lost positivity for species {name} at cell "
                 f"{cell} (min {m!r}); tighten the linear solver tolerance"
             )
-        fields.append(u_next)
+        row[...] = u_next.values
         reports.append(report)
-    next_state = State(fields[0], fields[1], fields[2], state_star.time + dt)
-    return next_state, (reports[0], reports[1], reports[2])
+    return State.from_stack(state_star.grid, u, state_star.time + dt), tuple(reports)

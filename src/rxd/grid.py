@@ -6,9 +6,15 @@ centers ``lower + (i + 1/2) h``.  Field values are stored as an ndarray of
 shape ``(N,) * dim`` in C order with the x index varying fastest, i.e. the
 array axes are ordered (z, y, x) in 3D and (y, x) in 2D.
 
+A :class:`State` stores its three species in one array ``u`` of shape
+``(3, *grid.shape)`` with rows in the order a, b, c; ``state.a``, ``state.b``
+and ``state.c`` are :class:`Field` views of those rows, so writing through a
+view writes into ``u``.
+
 Besides the containers, this module provides the discrete L2 inner product
 and norms, the variable-coefficient centered Laplacian in divergence (flux)
-form, the discrete free energy of a three-species state, and the log-form
+form (:func:`div_grad`, the one stencil the diffusion solve also applies),
+the discrete free energy of a three-species state, and the log-form
 chemical potentials.
 """
 
@@ -129,8 +135,9 @@ class Grid:
 class Field:
     """One scalar value per cell of a :class:`Grid`.
 
-    ``values`` has shape ``grid.shape`` (row-major, x fastest); any finite
-    float input array of the right size is accepted and copied to float64.
+    ``values`` has shape ``grid.shape`` (row-major, x fastest); any input
+    array of the right size is accepted and converted to float64.  A float64
+    array is not copied, so a Field can be a view into a larger array.
     """
 
     grid: Grid
@@ -214,42 +221,55 @@ class ModelParams:
             )
 
 
-@dataclass
 class State:
-    """Concentration fields (a, b, c) at one time level."""
+    """Concentrations (a, b, c) at one time level, stacked in one array.
 
-    a: Field
-    b: Field
-    c: Field
-    time: float = 0.0
+    ``u`` has shape ``(3, *grid.shape)``, rows a, b, c; ``a``, ``b`` and
+    ``c`` are Field views of its rows.  ``State(a, b, c, time)`` copies the
+    three fields into a new stack; :meth:`from_stack` wraps an existing one.
+    """
 
-    def __post_init__(self):
-        if not (self.a.grid == self.b.grid == self.c.grid):
+    def __init__(self, a: Field, b: Field, c: Field, time: float = 0.0):
+        if not (a.grid == b.grid == c.grid):
             raise ValueError("a, b, c must share one grid")
+        self._wrap(a.grid, np.stack([a.values, b.values, c.values]), time)
 
-    @property
-    def grid(self) -> Grid:
-        return self.a.grid
+    @classmethod
+    def from_stack(cls, grid: Grid, u: np.ndarray, time: float = 0.0) -> State:
+        """Wrap a float64 array of shape ``(3, *grid.shape)`` without copying it."""
+        state = cls.__new__(cls)
+        state._wrap(grid, u, time)
+        return state
+
+    def _wrap(self, grid: Grid, u: np.ndarray, time: float) -> None:
+        if u.dtype != np.float64 or u.shape != (3, *grid.shape):
+            raise ValueError(
+                f"state array must be float64 of shape {(3, *grid.shape)}, "
+                f"got {u.dtype} {u.shape}"
+            )
+        self.grid = grid
+        self.u = u
+        self.time = time
+        self.a, self.b, self.c = (Field(grid, row) for row in u)
 
     @classmethod
     def uniform(cls, grid: Grid, a: float, b: float, c: float, time: float = 0.0) -> State:
-        return cls(Field.full(grid, a), Field.full(grid, b), Field.full(grid, c), time)
+        u = np.empty((3, *grid.shape))
+        for row, value in zip(u, (a, b, c)):
+            row[...] = value
+        return cls.from_stack(grid, u, time)
 
     def species(self) -> tuple[tuple[str, Field], ...]:
-        return (("a", self.a), ("b", self.b), ("c", self.c))
+        return tuple(zip("abc", (self.a, self.b, self.c)))
 
     def min_values(self) -> tuple[float, float, float]:
-        return (
-            float(self.a.values.min()),
-            float(self.b.values.min()),
-            float(self.c.values.min()),
-        )
+        return tuple(float(row.min()) for row in self.u)
 
     def require_positive(self, context: str = "state") -> None:
-        for name, f in self.species():
-            m = f.values.min()
+        for name, row in zip("abc", self.u):
+            m = row.min()
             if not m > 0.0:
-                cell = int(np.argmin(f.values.ravel()))
+                cell = int(np.argmin(row.ravel()))
                 raise PositivityError(
                     f"{context}: species {name} is non-positive "
                     f"({m!r}) at cell {cell}"
@@ -291,8 +311,7 @@ def discrete_energy(state: State, params: ModelParams) -> float:
     state.require_positive("discrete_energy")
     refs = (params.a_inf, params.b_inf, params.c_inf)
     total = 0.0
-    for (name, f), ref in zip(state.species(), refs):
-        v = f.values
+    for v, ref in zip(state.u, refs):
         total += float(np.sum(v * (np.log(v / ref) - 1.0)))
     return state.grid.cell_volume * total
 
@@ -300,12 +319,8 @@ def discrete_energy(state: State, params: ModelParams) -> float:
 def chemical_potentials(state: State, params: ModelParams) -> tuple[Field, Field, Field]:
     """Cellwise chemical potentials ln(a/a_inf), ln(b/b_inf), ln(c/c_inf)."""
     state.require_positive("chemical_potentials")
-    g = state.grid
-    return (
-        Field(g, np.log(state.a.values / params.a_inf)),
-        Field(g, np.log(state.b.values / params.b_inf)),
-        Field(g, np.log(state.c.values / params.c_inf)),
-    )
+    refs = (params.a_inf, params.b_inf, params.c_inf)
+    return tuple(Field(state.grid, np.log(v / ref)) for v, ref in zip(state.u, refs))
 
 
 def face_coefficient(grid: Grid, d: Coefficient, axis: int) -> Union[float, np.ndarray]:
@@ -335,22 +350,27 @@ def face_coefficient(grid: Grid, d: Coefficient, axis: int) -> Union[float, np.n
     return vals
 
 
-def apply_variable_laplacian(f: Field, d: Coefficient) -> Field:
-    """Apply the divergence-form operator div(D grad f) with periodic wrap.
+def div_grad(v: np.ndarray, faces, h: float) -> np.ndarray:
+    """The divergence-form operator div(D grad v) with periodic wrap.
 
-    Along each axis the face flux between cells i and i+1 is
-    ``D_face * (f[i+1] - f[i]) / h``; the cell value is the net outflow
-    divided by h, summed over axes.  The stencil is the standard centered
-    second-order one; constants are in its kernel and its column sums vanish
-    by telescoping.
+    ``faces[axis]`` holds the coefficient on the faces normal to physical
+    axis ``axis`` (see :func:`face_coefficient`; a float is a constant) and
+    ``h`` is the cell spacing.  Along each axis the face flux between cells
+    i and i+1 is ``D_face * (v[i+1] - v[i]) / h``; the cell value is the net
+    outflow divided by h, summed over axes.  The stencil is the standard
+    centered second-order one; constants are in its kernel and its column
+    sums vanish by telescoping.
     """
-    grid = f.grid
-    v = f.values
-    h = grid.h
     out = np.zeros_like(v)
-    for axis in range(grid.dim):
-        array_axis = grid.dim - 1 - axis
-        dface = face_coefficient(grid, d, axis)
+    for axis, dface in enumerate(faces):
+        array_axis = v.ndim - 1 - axis
         flux = dface * (np.roll(v, -1, axis=array_axis) - v) / h
         out += (flux - np.roll(flux, 1, axis=array_axis)) / h
-    return Field(grid, out)
+    return out
+
+
+def apply_variable_laplacian(f: Field, d: Coefficient) -> Field:
+    """Apply div(D grad f) (see :func:`div_grad`) for a coefficient ``d``."""
+    grid = f.grid
+    faces = [face_coefficient(grid, d, axis) for axis in range(grid.dim)]
+    return Field(grid, div_grad(f.values, faces, grid.h))

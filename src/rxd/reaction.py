@@ -17,6 +17,11 @@ accepted only while it stays strictly inside the current sign-change
 bracket, otherwise the step falls back to bisection.  Starting from R = 0
 (the equilibrium value) the iteration is quadratically convergent away from
 the bracket endpoints and never evaluates a logarithm outside its domain.
+
+There is one Newton loop, vectorized over cells.  The scalar
+:func:`solve_reaction_cell` validates its inputs and runs that loop on
+one-element arrays, so the scalar and the field solve agree bitwise by
+construction.
 """
 
 from __future__ import annotations
@@ -62,49 +67,33 @@ def solve_reaction_cell(
 ) -> float:
     """Solve one cell's trajectory equation; returns the increment R.
 
-    Converges when |G(R)| <= tol, or when the sign-change bracket has
-    collapsed to machine width (near the logarithmic singularities the
-    residual cannot be evaluated below roundoff, but the root itself is
-    then resolved to the last ulp).
+    Runs the field solve on one-element arrays; see :func:`_solve_field`
+    for the stopping rule.
     """
     for name, v in (("a", a), ("b", b), ("c", c), ("dt", dt), ("tol", tol)):
         if not v > 0.0:
             raise PositivityError(f"solve_reaction_cell: {name} must be positive, got {v}")
-    cdt = params.k_minus * c * dt
-    lo = -cdt * _EDGE
-    hi = min(a, b) * _EDGE
-    r = 0.0
-    g = float(_residual(r, a, b, c, cdt, params))
-    for _ in range(max_iter):
-        if abs(g) <= tol or (hi - lo) <= 4.0 * _EPS * max(abs(lo), abs(hi)):
-            return r
-        if g < 0.0:
-            lo = r
-        else:
-            hi = r
-        cand = r - g / float(_slope(r, a, b, c, cdt))
-        r = cand if lo < cand < hi else 0.5 * (lo + hi)
-        g = float(_residual(r, a, b, c, cdt, params))
-    raise ConvergenceError(
-        f"reaction solve stalled after {max_iter} iterations at "
-        f"a={a!r} b={b!r} c={c!r} dt={dt!r}: residual {g!r} > tol {tol!r}"
-    )
+    cells = (np.array([float(v)]) for v in (a, b, c))
+    r, _, _ = _solve_field(*cells, dt, params, tol, max_iter)
+    return float(r[0])
 
 
 def _solve_field(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    dt: float,
+    dt,
     params: ModelParams,
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Vectorized safeguarded Newton over all cells.
+    """Safeguarded Newton over all cells at once; converged cells are frozen.
 
-    Identical update rule as :func:`solve_reaction_cell`, applied per cell
-    with converged cells frozen, so the two paths agree bitwise.
-    Returns (r, iterations, max_residual).
+    ``dt`` is a float or an array that broadcasts against the cells.
+    Converges per cell when |G(R)| <= tol, or when the sign-change bracket
+    has collapsed to machine width (near the logarithmic singularities the
+    residual cannot be evaluated below roundoff, but the root itself is
+    then resolved to the last ulp).  Returns (r, iterations, max_residual).
     """
     cdt = params.k_minus * c * dt
     lo = -cdt * _EDGE
@@ -128,10 +117,10 @@ def _solve_field(
         g = np.where(active, _residual(r, a, b, c, cdt, params), g)
     if active.any():
         cell = int(np.flatnonzero(active.ravel())[0])
-        flat = lambda arr: float(arr.ravel()[cell])  # noqa: E731
+        flat = lambda arr: float(np.broadcast_to(arr, a.shape).ravel()[cell])  # noqa: E731
         raise ConvergenceError(
             f"reaction solve stalled after {max_iter} iterations at cell {cell}: "
-            f"a={flat(a)!r} b={flat(b)!r} c={flat(c)!r} dt={dt!r} "
+            f"a={flat(a)!r} b={flat(b)!r} c={flat(c)!r} dt={flat(dt)!r} "
             f"residual {flat(np.abs(g))!r} > tol {tol!r}"
         )
     return r, iterations, float(np.max(np.abs(g)))
@@ -168,15 +157,10 @@ def step_reaction(
     if not dt > 0.0:
         raise PositivityError(f"step_reaction: dt must be positive, got {dt}")
     state.require_positive("step_reaction")
-    grid = state.grid
-    r, iterations, max_residual = _solve_field(
-        state.a.values, state.b.values, state.c.values, dt, params, tol, max_iter
-    )
-    star = State(
-        Field(grid, state.a.values - r),
-        Field(grid, state.b.values - r),
-        Field(grid, state.c.values + r),
-        state.time,
-    )
+    r, iterations, max_residual = _solve_field(*state.u, dt, params, tol, max_iter)
+    u = state.u.copy()
+    u[:2] -= r
+    u[2] += r
+    star = State.from_stack(state.grid, u, state.time)
     star.require_positive("step_reaction output")
-    return star, ReactionSolveResult(Field(grid, r), iterations, max_residual)
+    return star, ReactionSolveResult(Field(state.grid, r), iterations, max_residual)

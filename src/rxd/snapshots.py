@@ -7,7 +7,8 @@ Layout::
     <value>          # N^dim lines, row-major with x fastest, %.17g
 
 All floats are written with 17 significant digits so a write/read round
-trip is bit-exact.
+trip is bit-exact; :func:`format_float` is that formatter, shared by every
+text output of the package.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .grid import Field, Grid
 MAGIC = "rxd-field v1"
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """A double as text with 17 significant digits, which reads back bit-exactly."""
     return format(float(x), ".17g")
 
 
@@ -37,11 +39,11 @@ def write_field(f: Field, dest: Union[str, os.PathLike, TextIO], time: float = 0
 
 def _write(f: Field, fh: TextIO, time: float) -> None:
     g = f.grid
-    lower = ",".join(_fmt(x) for x in g.lower)
-    upper = ",".join(_fmt(x) for x in g.upper)
+    lower = ",".join(format_float(x) for x in g.lower)
+    upper = ",".join(format_float(x) for x in g.upper)
     fh.write(f"{MAGIC}\n")
-    fh.write(f"dim={g.dim} n={g.n} lower={lower} upper={upper} t={_fmt(time)}\n")
-    fh.write("\n".join(_fmt(v) for v in f.values.ravel()))
+    fh.write(f"dim={g.dim} n={g.n} lower={lower} upper={upper} t={format_float(time)}\n")
+    fh.write("\n".join(format_float(v) for v in f.values.ravel()))
     fh.write("\n")
 
 

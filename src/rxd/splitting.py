@@ -13,7 +13,7 @@ Also provides the standard benchmark initial condition on
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, TextIO, Union
 
 import numpy as np
@@ -29,16 +29,12 @@ from .grid import (
     mean_value,
 )
 from .reaction import step_reaction
+from .snapshots import format_float
 
 # Slack for the per-step energy monotonicity assertion, relative to 1 + |F|.
 ENERGY_SLACK = 1e-10
 # Allowed relative drift of the conserved masses <a+c, 1> and <b+c, 1>.
 MASS_DRIFT_TOL = 1e-8
-
-DIAGNOSTICS_HEADER = (
-    "step,time,energy,mass_ac,mass_bc,min_a,min_b,min_c,"
-    "reaction_residual,cg_iters_a,cg_iters_b,cg_iters_c"
-)
 
 
 @dataclass(frozen=True)
@@ -56,8 +52,8 @@ class TimeConfig:
         ratio = self.t_final / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * ratio or round(ratio) < 1:
             raise ValueError(
-                f"t_final/dt = {ratio!r} is not a positive integer; "
-                "partial final steps are not supported"
+                f"t_final/dt = {self.t_final!r}/{self.dt!r} = {ratio!r} is not a "
+                "positive integer; partial final steps are not supported"
             )
 
     @property
@@ -97,27 +93,14 @@ class DiagnosticsRow:
     cg_iters_c: int
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_DIAGNOSTICS_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
+DIAGNOSTICS_HEADER = ",".join(_DIAGNOSTICS_FIELDS)
 
 
 def format_diagnostics_row(row: DiagnosticsRow) -> str:
-    return ",".join(
-        [
-            str(row.step),
-            _fmt(row.time),
-            _fmt(row.energy),
-            _fmt(row.mass_ac),
-            _fmt(row.mass_bc),
-            _fmt(row.min_a),
-            _fmt(row.min_b),
-            _fmt(row.min_c),
-            _fmt(row.reaction_residual),
-            str(row.cg_iters_a),
-            str(row.cg_iters_b),
-            str(row.cg_iters_c),
-        ]
-    )
+    """Integers as written, floats at 17 significant digits, in field order."""
+    values = (getattr(row, name) for name in _DIAGNOSTICS_FIELDS)
+    return ",".join(str(v) if isinstance(v, int) else format_float(v) for v in values)
 
 
 def write_diagnostics_csv(rows, dest: Union[str, os.PathLike, TextIO]) -> None:
@@ -133,9 +116,9 @@ def write_diagnostics_csv(rows, dest: Union[str, os.PathLike, TextIO]) -> None:
 def _state_row(state: State, params: ModelParams, step: int,
                reaction_residual: float = 0.0,
                cg_iters: tuple[int, int, int] = (0, 0, 0)) -> DiagnosticsRow:
-    g = state.grid
-    mass_ac = mean_value(Field(g, state.a.values + state.c.values))
-    mass_bc = mean_value(Field(g, state.b.values + state.c.values))
+    a, b, c = state.u
+    mass_ac = mean_value(Field(state.grid, a + c))
+    mass_bc = mean_value(Field(state.grid, b + c))
     mins = state.min_values()
     return DiagnosticsRow(
         step=step,

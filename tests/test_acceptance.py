@@ -33,6 +33,7 @@ from rxd import (
     temporal_order,
     write_diagnostics_csv,
 )
+from rxd.reaction import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_field
 from oracles import bisect_reaction, rk4_reaction
 
 P_UNIT = ModelParams(1.0, 1.0, 1.0)
@@ -159,10 +160,10 @@ def test_criterion_7_reaction_oracle_equivalence():
     c = rng.uniform(1e-3, 10.0, n)
     dt = rng.uniform(1e-4, 1.0, n)
     reference = bisect_reaction(a, b, c, dt)
-    worst = 0.0
-    for i in range(n):
-        r = solve_reaction_cell(float(a[i]), float(b[i]), float(c[i]), float(dt[i]), P_UNIT)
-        worst = max(worst, abs(r - float(reference[i])))
+    # One call of the Newton loop that solve_reaction_cell wraps; the per-cell
+    # dt broadcasts through k- c dt.
+    r, _, _ = _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    worst = float(np.max(np.abs(r - reference)))
     ok = worst <= 1e-11
     # closed-form quadratic roots
     r1 = solve_reaction_cell(2.0, 2.0, 1.0, 0.1, P_UNIT)

@@ -234,6 +234,46 @@ def test_run_rejects_negative_output_interval(tmp_path, capsys, key):
     assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command,setting",
+    [
+        ("run", "grid.dim=2.5"),
+        ("run", "grid.n=8.7"),
+        ("run", "output.diagnostics_every=1.5"),
+        ("run", "output.snapshot_every=0.5"),
+        ("run", "solver.cg_max_iter=10.5"),
+        ("run", 'grid.n="8"'),
+        ("study-time", "study_time.n=16.5"),
+    ],
+)
+def test_rejects_non_integer_counts(tmp_path, capsys, command, setting):
+    # These counts used to be truncated by int(): grid.n=8.7 ran at n = 8.
+    argv = fast_run_args(tmp_path, "--set", setting)
+    code = run_cli(command, *argv[1:])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert setting.split("=")[0] in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    assert run_cli(*fast_run_args(tmp_path, "--set", "grid.n=8.0")) == 0
+
+
+def test_snapshot_initial_time_stamps_must_agree(tmp_path, capsys):
+    g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
+    spec = {"kind": "snapshot"}
+    for name, t in (("a", 0.0), ("b", 5.0), ("c", 9.0)):
+        path = tmp_path / f"init_{name}.txt"
+        write_field(Field.full(g, 1.0), path, time=t)
+        spec[name] = str(path)
+    code = run_cli(*fast_run_args(tmp_path, "--set", f"initial={json.dumps(spec)}"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "time stamps differ" in err and len(err.strip().splitlines()) == 1
+    assert "b: t=5" in err and "c: t=9" in err
+
+
 def test_run_summary_time_does_not_drift(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(

@@ -75,6 +75,33 @@ def test_state_requires_shared_grid():
         State(Field.full(g1, 1.0), Field.full(g1, 1.0), Field.full(g2, 1.0))
 
 
+def test_state_copies_its_inputs():
+    g = Grid.box(2, 3)
+    a, b, c = Field.full(g, 1.0), Field.full(g, 2.0), Field.full(g, 3.0)
+    s = State(a, b, c)
+    a.values[...] = 7.0
+    c.values[0, 1] = -1.0
+    np.testing.assert_array_equal(s.a.values, 1.0)
+    np.testing.assert_array_equal(s.c.values, 3.0)
+
+
+def test_state_species_are_views_of_one_stack():
+    g = Grid.box(2, 4)
+    s = State.uniform(g, 1.0, 2.0, 3.0)
+    assert s.u.shape == (3, *g.shape)
+    s.a.values[...] = 5.0
+    s.c.values[2, 1] = 9.0
+    np.testing.assert_array_equal(s.u[0], 5.0)
+    assert s.u[2, 2, 1] == 9.0
+    assert s.min_values() == (5.0, 2.0, 3.0)
+    assert [name for name, _ in s.species()] == ["a", "b", "c"]
+    u = np.ones((3, *g.shape))
+    wrapped = State.from_stack(g, u, time=0.5)
+    assert wrapped.u is u and wrapped.time == 0.5
+    with pytest.raises(ValueError):
+        State.from_stack(g, np.ones((2, *g.shape)))
+
+
 def test_inner_product_examples():
     g = Grid.box(1, 4)
     one = Field.full(g, 1.0)

@@ -86,6 +86,35 @@ def test_root_properties(a, b, c, dt):
     assert r == pytest.approx(float(bisect_reaction(a, b, c, dt)), abs=1e-11)
 
 
+# Inputs at the bracket ends: a or b at 1e-14 with c dt = 1e-303 near the
+# bottom of the double range, and every input at 1e-12.
+NEAR_SINGULAR = [
+    (1e-14, 1.0, 1e-300, 1e-3),
+    (1.0, 1e-14, 1e-300, 1e-3),
+    (1.0, 1.0, 1e-300, 1e-3),
+    (1e-12, 1e-12, 1e-12, 1e-12),
+]
+
+
+@pytest.mark.parametrize("a,b,c,dt", NEAR_SINGULAR)
+def test_near_singular_inputs(a, b, c, dt):
+    r = solve_reaction_cell(a, b, c, dt, P_UNIT)
+    assert a - r > 0.0 and b - r > 0.0 and c + r > 0.0 and r + c * dt > 0.0
+    # G changes sign across R (1 -+ 1e-9).  With a = b = c = dt = 1e-12 the
+    # root sits 1e-36 above -c dt, closer than 1e-9 |R|, so there the probe
+    # steps 1e-3 of that gap instead and stays inside the bracket.
+    delta = min(1e-9 * abs(r), 1e-3 * (r + c * dt))
+    assert trajectory_residual(r - delta, a, b, c, dt) < 0.0
+    assert trajectory_residual(r + delta, a, b, c, dt) > 0.0
+    if c == 1e-300:
+        # c << R << a, b: R^2 = c dt a b to leading order (3.162e-152 at a = b = 1).
+        assert r == pytest.approx(np.sqrt(c * dt) * np.sqrt(a * b), rel=1e-12)
+    # the field solve is the same loop
+    g = Grid.box(1, 1)
+    _, result = step_reaction(State.uniform(g, a, b, c), dt, P_UNIT)
+    assert result.r.values[0] == r
+
+
 def test_bracket_endpoints_bound_the_residual():
     rng = np.random.default_rng(12)
     for _ in range(50):
