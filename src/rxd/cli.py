@@ -163,14 +163,10 @@ def build_grid(cfg: dict, n_override: Optional[int] = None) -> Grid:
 
 def build_params(cfg: dict) -> ModelParams:
     sec = _section(cfg, "model")
+    names = ("a_inf", "b_inf", "c_inf", "k_plus", "k_minus")
+    values = {name: _get(sec, "model", name, float) for name in names}
     try:
-        return ModelParams(
-            a_inf=_get(sec, "model", "a_inf", float),
-            b_inf=_get(sec, "model", "b_inf", float),
-            c_inf=_get(sec, "model", "c_inf", float),
-            k_plus=_get(sec, "model", "k_plus", float),
-            k_minus=_get(sec, "model", "k_minus", float),
-        )
+        return ModelParams(**values)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -212,11 +208,10 @@ def build_coeffs(cfg: dict) -> DiffusionCoeffs:
 
 def build_time(cfg: dict) -> TimeConfig:
     sec = _section(cfg, "time")
+    dt = _get(sec, "time", "dt", float)
+    t_final = _get(sec, "time", "t_final", float)
     try:
-        return TimeConfig(
-            dt=_get(sec, "time", "dt", float),
-            t_final=_get(sec, "time", "t_final", float),
-        )
+        return TimeConfig(dt=dt, t_final=t_final)
     except ValueError as exc:
         raise ConfigError(f"time: {exc}") from exc
 

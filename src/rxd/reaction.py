@@ -7,16 +7,28 @@ function
     G(R) = ln(1 + R / (k- c dt)) - ln((a - R)/a_inf) - ln((b - R)/b_inf)
                                  + ln((c + R)/c_inf)
 
-on the open bracket (-k- c dt, min(a, b)).  G decreases to -inf at the left
-end and grows to +inf at the right end, so the root exists, is unique, and
-automatically keeps a - R, b - R, c + R and R + k- c dt strictly positive.
-The trajectory counter resets to zero at the start of every step.
+on the open bracket (-min(k- c dt, c), min(a, b)).  G decreases to -inf at
+the left end (ln(1 + R/(k- c dt)) or ln(c + R) diverges there, whichever
+singularity is nearer) and grows to +inf at the right end, so the root
+exists, is unique, and automatically keeps a - R, b - R, c + R and
+R + k- c dt strictly positive.  The trajectory counter resets to zero at
+the start of every step.
 
 The root is found by safeguarded Newton iteration: a Newton candidate is
 accepted only while it stays strictly inside the current sign-change
-bracket, otherwise the step falls back to bisection.  Starting from R = 0
-(the equilibrium value) the iteration is quadratically convergent away from
-the bracket endpoints and never evaluates a logarithm outside its domain.
+bracket, otherwise the step falls back to bisection, so no logarithm is
+evaluated outside its domain.  G is first evaluated at two points, R = 0
+and the linearly implicit rate estimate
+
+    R1 = dt (k+ a b - k- c) / (1 + dt (k+ (a + b) + k-)),
+
+one backward-Euler step of the reaction ODE linearised at (a, b, c), or 0
+where R1 falls outside the bracket.  Both points tighten the bracket.
+Newton starts from R1 where G(R1) has the sign of G(0) (R1 then lies
+between 0 and the root) or where |G(R1)| < 1/2, and from R = 0 elsewhere.
+Choosing by the smaller |G| instead can start Newton just past a root that
+sits next to a singularity, where its steps leave the bracket and bisection
+needs hundreds of halvings.
 
 There is one Newton loop, vectorized over cells.  The scalar
 :func:`solve_reaction_cell` validates its inputs and runs that loop on
@@ -96,10 +108,24 @@ def _solve_field(
     then resolved to the last ulp).  Returns (r, iterations, max_residual).
     """
     cdt = params.k_minus * c * dt
-    lo = -cdt * _EDGE
+    lo = -np.minimum(cdt, c) * _EDGE
     hi = np.minimum(a, b) * _EDGE
-    r = np.zeros_like(a)
-    g = _residual(r, a, b, c, cdt, params)
+    g = _residual(0.0, a, b, c, cdt, params)
+    np.maximum(lo, 0.0, out=lo, where=g < 0.0)
+    np.minimum(hi, 0.0, out=hi, where=g >= 0.0)
+    # Linearly implicit rate estimate R1, replaced by 0 outside the bracket.
+    r = (params.k_plus * a * b - params.k_minus * c) * dt
+    r /= 1.0 + dt * (params.k_plus * (a + b) + params.k_minus)
+    np.copyto(r, 0.0, where=~((r > lo) & (r < hi)))
+    g1 = _residual(r, a, b, c, cdt, params)
+    np.maximum(lo, r, out=lo, where=g1 < 0.0)
+    np.minimum(hi, r, out=hi, where=g1 >= 0.0)
+    # Start from R1 only where it lies between 0 and the root or is close to
+    # it; the module docstring says why not by the smaller |G|.
+    from_r1 = ((g1 < 0.0) == (g < 0.0)) | (np.abs(g1) < 0.5)
+    np.copyto(r, 0.0, where=~from_r1)
+    np.copyto(g, g1, where=from_r1)
+    del g1, from_r1
     iterations = np.zeros(a.shape, dtype=np.int64)
     active = np.ones(a.shape, dtype=bool)
     for _ in range(max_iter):
@@ -131,8 +157,8 @@ class ReactionSolveResult:
     """Per-step outcome of the reaction stage.
 
     ``r`` holds the per-cell trajectory increments (strictly inside
-    (-c dt, min(a, b)) cellwise), ``iterations`` the per-cell Newton counts,
-    and ``max_residual`` the largest |G| accepted.
+    (-min(k- c dt, c), min(a, b)) cellwise), ``iterations`` the per-cell
+    Newton counts, and ``max_residual`` the largest |G| accepted.
     """
 
     r: Field

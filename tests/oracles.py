@@ -46,7 +46,7 @@ def bisect_reaction(a, b, c, dt, iters: int = 80, a_inf=1.0, b_inf=1.0, c_inf=1.
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    lo = -c * dt * (1.0 - 1e-15)
+    lo = -np.minimum(c * dt, c) * (1.0 - 1e-15)
     hi = np.minimum(a, b) * (1.0 - 1e-15)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)

@@ -256,6 +256,14 @@ def test_rejects_non_integer_counts(tmp_path, capsys, command, setting):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["time.dt", "model.k_plus"])
+def test_parse_error_names_its_section_once(tmp_path, capsys, key):
+    code = run_cli(*fast_run_args(tmp_path, "--set", f"{key}=abc"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: cannot parse 'abc'"), err
+
+
 def test_integral_float_counts_are_accepted(tmp_path):
     assert run_cli(*fast_run_args(tmp_path, "--set", "grid.n=8.0")) == 0
 

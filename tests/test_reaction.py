@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from rxd import (
     ConvergenceError,
+    DiffusionCoeffs,
     Field,
     Grid,
     ModelParams,
     PositivityError,
     State,
     discrete_energy,
+    make_initial_condition,
     solve_reaction_cell,
+    step_diffusion,
     step_reaction,
 )
+from rxd.reaction import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_field
 from oracles import bisect_reaction, rk4_reaction, trajectory_residual
 
 P_UNIT = ModelParams(1.0, 1.0, 1.0)
@@ -113,6 +117,43 @@ def test_near_singular_inputs(a, b, c, dt):
     g = Grid.box(1, 1)
     _, result = step_reaction(State.uniform(g, a, b, c), dt, P_UNIT)
     assert result.r.values[0] == r
+
+
+def test_large_dt_inputs_converge():
+    # With k- dt > 1 the left end of the bracket is -c, not -k- c dt; a
+    # bracket reaching past -c put iterates where ln(c + R) is NaN.
+    rng = np.random.default_rng(1)
+    a, b, c = np.exp(rng.uniform(np.log(1e-4), np.log(10.0), (3, 2000)))
+    dt = rng.uniform(1.0, 100.0, 2000)
+    stalled_before = (0.0019222, 0.0014988, 0.0070625, 20.84)
+    a, b, c, dt = (np.append(v, x) for v, x in zip((a, b, c, dt), stalled_before))
+    r, _, max_residual = _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert max_residual <= DEFAULT_TOL
+    assert np.all(a - r > 0.0) and np.all(b - r > 0.0) and np.all(c + r > 0.0)
+
+
+def _benchmark_scene(n):
+    return make_initial_condition(Grid(2, n, (-1.0, -1.0), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("dt", [1 / 1600, 0.01, 1.0, 100.0])
+def test_benchmark_scene_matches_oracle(dt):
+    s = _benchmark_scene(32)
+    _, result = step_reaction(s, dt, P_UNIT)
+    reference = bisect_reaction(*s.u, dt)
+    np.testing.assert_allclose(result.r.values, reference, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("dt,max_newton", [(0.01, 5), (1 / 1600, 4)])
+def test_newton_iterations_on_benchmark_scene(dt, max_newton):
+    # Starting from R = 0 alone took up to 13 (dt = 0.01) and 14 (dt = 1/1600)
+    # iterations over these steps.
+    s = _benchmark_scene(64)
+    coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
+    for _ in range(3):
+        star, result = step_reaction(s, dt, P_UNIT)
+        assert result.iterations.max() <= max_newton
+        s, _ = step_diffusion(star, coeffs, dt)
 
 
 def test_bracket_endpoints_bound_the_residual():
