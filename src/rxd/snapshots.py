@@ -8,7 +8,11 @@ Layout::
 
 All floats are written with 17 significant digits so a write/read round
 trip is bit-exact; :func:`format_float` is that formatter, shared by every
-text output of the package.
+text output of the package.  The value lines are exactly the bytes of
+:func:`format_float`, but values in [1e-4, 1e16) are formatted a chunk at a
+time with numpy (see :func:`_format_lines`); every other value (smaller,
+larger, negative, zero, nan, inf) goes through :func:`format_float` one by
+one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,62 @@ import numpy as np
 from .grid import Field, Grid
 
 MAGIC = "rxd-field v1"
+
+# Values formatted per numpy pass; bounds the byte matrices to ~160 kB each.
+_CHUNK = 4096
+
+# A double times 10^p is exactly a Dekker pair (product + error) when 10^p
+# is itself an exact double, which holds for p <= 22.
+_POW10 = np.array([float(10**p) for p in range(23)])
+
+
+def _split(a):
+    """Veltkamp split: a == hi + lo exactly, each half fitting in 26 bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+# A group of four decimal digits as the 8 bytes "d.d.d.d.", viewed as one
+# uint64, and the number of trailing zeros of the group (4 for 0000).
+# uint8 keeps the temporaries (and so the process's peak memory) small.
+_digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, 10000).T
+_GROUP_BYTES = np.full((10000, 4, 2), ord("."), np.uint8)
+_GROUP_BYTES[:, :, 0] = _digits + ord("0")
+_GROUP_BYTES = _GROUP_BYTES.reshape(10000, 8).view(np.uint64).ravel()
+_GROUP_ZEROS = (_digits[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+del _digits
+
+# One value is laid out in 40 bytes: "0.000", the leading digit, ".", a pad
+# byte, then the 16 other digits each followed by "." (the last by "\n").
+_WIDTH = 40
+_PREFIX = np.frombuffer(b"0.0000.\0", np.uint64)[0]
+_DIGIT_COLUMNS = np.array([5, *range(8, 39, 2)])
+
+
+def _line_mask(k: int, last: int) -> np.ndarray:
+    """The bytes of the row that make up the fixed-notation %.17g text.
+
+    The 17 digits d0..d16 have decimal exponent k in [-4, 16], and d_last is
+    the last nonzero one.  The text is "0." and -k-1 zeros when k < 0, the
+    digits up to d_last (and at least up to d_k), the "." after d_k when a
+    fraction is left, and "\\n".
+    """
+    keep = np.zeros(_WIDTH, bool)
+    if k < 0:
+        keep[:1 - k] = True
+        keep[_DIGIT_COLUMNS[:last + 1]] = True
+    else:
+        keep[_DIGIT_COLUMNS[:max(k, last) + 1]] = True
+        keep[_DIGIT_COLUMNS[k] + 1] = last > k
+    keep[-1] = True
+    return keep
+
+
+# _LINE_MASKS[(k + 4) * 17 + last] is _line_mask(k, last).
+_LINE_MASKS = np.array([_line_mask(k, last) for k in range(-4, 17) for last in range(17)])
 
 
 def format_float(x: float) -> str:
@@ -43,8 +103,61 @@ def _write(f: Field, fh: TextIO, time: float) -> None:
     upper = ",".join(format_float(x) for x in g.upper)
     fh.write(f"{MAGIC}\n")
     fh.write(f"dim={g.dim} n={g.n} lower={lower} upper={upper} t={format_float(time)}\n")
-    fh.write("\n".join(format_float(v) for v in f.values.ravel()))
-    fh.write("\n")
+    values = f.values.ravel()
+    for start in range(0, values.size, _CHUNK):
+        fh.write(_format_lines(values[start:start + _CHUNK]))
+
+
+def _scaled_digits(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x * 10^(16 - k) rounded half-even to an integer, for 0 <= 16 - k <= 22.
+
+    Dekker's TwoProduct gives the product exactly as prod + err.  Where
+    prod >= 2^53 it is an even integer, so rounding err alone rounds the sum;
+    a smaller prod is only reached with k one too large, and the result then
+    falls below 10^16, which the caller corrects.
+    """
+    p = 16 - k
+    prod = x * _POW10[p]
+    x_hi, x_lo = _split(x)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    err = ((x_hi * b_hi - prod) + x_hi * b_lo + x_lo * b_hi) + x_lo * b_lo
+    return prod.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _format_lines(x: np.ndarray) -> str:
+    """``format_float(v) + "\\n"`` for every v of the 1-D float64 array x, joined."""
+    fast = (x >= 1e-4) & (x < 1e16)
+    xs = np.where(fast, x, 1.0)
+    k = np.floor(np.log10(xs)).astype(np.int64)
+    digits = _scaled_digits(xs, k)
+    # log10 may be one off next to a power of ten: correct k by one where
+    # the rounded 17-digit integer falls outside [10^16, 10^17)
+    off = (digits >= 10**17).astype(np.int64) - (digits < 10**16)
+    wrong = np.flatnonzero(off)
+    if wrong.size:
+        k[wrong] += off[wrong]
+        digits[wrong] = _scaled_digits(xs[wrong], k[wrong])
+
+    words = np.empty((x.size, _WIDTH // 8), np.uint64)
+    words[:, 0] = _PREFIX
+    # trailing zero digits, summed over the groups from the right while
+    # every group so far was 0000
+    zeros = np.zeros(x.size, np.int64)
+    trailing = np.ones(x.size, bool)
+    for j in range(4, 0, -1):
+        digits, group = np.divmod(digits, 10000)
+        words[:, j] = _GROUP_BYTES[group]
+        zeros += trailing * _GROUP_ZEROS[group]
+        trailing &= group == 0
+    buf = words.view(np.uint8)
+    buf[:, 5] += digits.astype(np.uint8)  # the leading digit, on the "0" there
+    buf[:, -1] = ord("\n")
+    mask = _LINE_MASKS[(k + 4) * 17 + (16 - zeros)]
+    for i in np.flatnonzero(~fast):
+        line = (format_float(x[i]) + "\n").encode("ascii")
+        buf[i, :len(line)] = np.frombuffer(line, np.uint8)
+        mask[i] = np.arange(_WIDTH) < len(line)
+    return buf.ravel().compress(mask.ravel()).tobytes().decode("ascii")
 
 
 def read_field(src: Union[str, os.PathLike, TextIO]) -> tuple[Field, float]:

@@ -191,7 +191,9 @@ def test_study_time_small(tmp_path, capsys):
     lines = (out / "temporal_orders.csv").read_text().splitlines()
     assert lines[0] == "param,err_a,order_a,err_b,order_b,err_c,order_c"
     assert len(lines) == 3
-    assert "order_a" not in capsys.readouterr().out or True  # table printed
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["dt", "err_a", "order_a", "err_b", "order_b", "err_c", "order_c"]
+    assert [float(row.split()[0]) for row in table[1:]] == [0.05, 0.025]
 
 
 def test_study_space_emits_order_rows_per_triple(tmp_path):

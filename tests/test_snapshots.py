@@ -4,8 +4,43 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rxd import Field, Grid, read_field, write_field
+from rxd.snapshots import _CHUNK, format_float
+
+
+def reference_text(f, time=0.0):
+    """The per-value writer the vectorised one replaced: one format_float per value."""
+    g = f.grid
+    lower = ",".join(format_float(x) for x in g.lower)
+    upper = ",".join(format_float(x) for x in g.upper)
+    return (f"rxd-field v1\ndim={g.dim} n={g.n} lower={lower} upper={upper} t={format_float(time)}\n"
+            + "\n".join(format_float(v) for v in f.values.ravel()) + "\n")
+
+
+def written_text(f, time=0.0):
+    buf = io.StringIO()
+    write_field(f, buf, time=time)
+    return buf.getvalue()
+
+
+def line_field(values):
+    values = np.asarray(values, dtype=float)
+    return Field(Grid(1, values.size, (0.0,), (1.0,)), values)
+
+
+def exact_ties(rng, per_scale=200):
+    """Doubles m / 2^s (m odd) with exactly 18 significant digits, the last a 5:
+    halfway between two 17-digit decimals."""
+    out = []
+    for s in range(2, 22):
+        lo = 10.0 ** (17 - s)
+        hi = min(10.0 ** (18 - s), 2.0 ** (53 - s))
+        m = rng.integers(int(lo * 2**s) // 2, int(hi * 2**s) // 2, per_scale) * 2 + 1
+        out.append(m / 2.0**s)
+    return np.concatenate(out)
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -65,3 +100,50 @@ def test_rejects_nonfinite(tmp_path):
 def test_rejects_malformed_header():
     with pytest.raises(ValueError, match="malformed"):
         read_field(io.StringIO("rxd-field v1\ndim=two n=3\n"))
+
+
+def test_writer_bytes_match_format_float():
+    rng = np.random.default_rng(7)
+    powers = 10.0 ** np.arange(-5, 18)
+    odd = rng.integers(0, 2**40, 2000) * 2 + 1
+    inputs = [
+        np.exp(rng.uniform(np.log(1e-6), np.log(1e17), 10**5)),
+        exact_ties(rng),
+        np.concatenate([(odd + 0.5) / 10.0**j for j in range(18)]),
+        np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)]),
+        [1e-4, 9.999999999999999e-5, 1e16, np.nextafter(1e16, 0.0), 0.0, -0.0, -1.0, -0.5,
+         -1e-300, 1e-300, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         np.nan, np.inf, -np.inf, 2.0**53, 2.0**53 + 2, 0.1, 0.01, 0.001, 1.0, 10.0],
+    ]
+    for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7):
+        inputs.append(rng.uniform(0.0, 2.0, n))
+    for values in inputs:
+        f = line_field(values)
+        assert written_text(f, time=0.25) == reference_text(f, time=0.25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), st.lists(st.floats(), min_size=1, max_size=50),
+       st.lists(st.floats(min_value=1e-4, max_value=1e16, exclude_max=True), min_size=1, max_size=50))
+def test_writer_bytes_match_format_float_any_double(x, mixed, fast):
+    for values in ([x], mixed, fast + mixed):
+        f = line_field(values)
+        assert written_text(f) == reference_text(f)
+
+
+def test_near_singular_round_trip(tmp_path):
+    # tiny concentrations take the per-value path, in the same chunk as
+    # ordinary ones
+    rng = np.random.default_rng(3)
+    g = Grid(2, 40, (-1.0, -1.0), (1.0, 1.0))
+    values = rng.uniform(0.01, 1.02, g.shape)
+    values[::3] *= 1e-12
+    values[1::7, ::2] = 1e-300 * rng.uniform(0.5, 2.0, values[1::7, ::2].shape)
+    values[5, 5] = 5e-324
+    f = Field(g, values)
+    path = tmp_path / "f.txt"
+    write_field(f, path, time=1.5)
+    assert path.read_text(encoding="ascii") == reference_text(f, time=1.5)
+    back, t = read_field(path)
+    assert t == 1.5
+    assert back.values.tobytes() == f.values.tobytes()

@@ -34,3 +34,25 @@ SITES = _traced_functions()
 )
 def test_trace_site_resolves(owner, attr):
     assert callable(getattr(owner, attr, None))
+
+
+def test_run_writes_every_snapshot_through_cli_write_field(tmp_path, monkeypatch):
+    # snapshots.write_ms times cli.write_field and reads args[1] as the path
+    calls = []
+    write_field = cli.write_field
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return write_field(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_field", counting)
+    steps = 2
+    code = cli.main([
+        "run", "--out", str(tmp_path),
+        "--set", "grid.n=8", "--set", "time.dt=0.1", "--set", f"time.t_final={0.1 * steps}",
+        "--set", "output.snapshot_every=1",
+    ])
+    assert code == 0
+    assert len(calls) == 3 * (steps + 1)
+    for args in calls:
+        assert isinstance(args[1], str) and Path(args[1]).is_file()
