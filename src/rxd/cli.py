@@ -12,6 +12,8 @@ A config is a single JSON file whose sections deep-merge over the built-in
 defaults (see ``default_config``), so partial configs are fine.  Any value
 can be overridden on the command line with ``--set section.key=value``
 (repeatable; values are parsed as JSON, falling back to plain strings).
+One table, ``_CONFIG``, gives every key its default and its parser; unknown
+sections and keys, and values of the wrong type, are config errors.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 I/O error.
 """
@@ -21,8 +23,10 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,32 +44,100 @@ from .splitting import (
 from .study import Scene, spatial_cauchy_order, temporal_order
 
 
+def _number(value) -> float:
+    """A finite JSON number; true/false, strings, nan and inf are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integral number as int; 8.7, "8" and true are refused, not truncated."""
+    if not _number(value).is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _count(value) -> int:
+    """A step interval: an integer >= 0, where 0 disables."""
+    count = _integer(value)
+    if count < 0:
+        raise ValueError("must be >= 0, 0 disables")
+    return count
+
+
+def _numbers(value) -> list[float]:
+    if not isinstance(value, list):
+        raise ValueError("not a list of numbers")
+    return [_number(x) for x in value]
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("not true or false")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("not a string")
+    return value
+
+
+_COSINE_DEFAULTS = {"base": 1.0, "amplitude": 0.5, "period": 2.0}
+
+
+def _coefficient(spec) -> Coefficient:
+    """A number is a constant; an object selects a named analytic profile."""
+    if not isinstance(spec, dict):
+        return _number(spec)
+    if spec.get("profile") != "cosine":
+        raise ValueError(f"unknown diffusion profile {spec.get('profile')!r}")
+    if not set(spec) <= {"profile", *_COSINE_DEFAULTS}:
+        raise ValueError(f"a cosine profile takes {', '.join(_COSINE_DEFAULTS)}")
+    base, amplitude, period = (_number(spec.get(k, d)) for k, d in _COSINE_DEFAULTS.items())
+    if base <= 0 or not abs(amplitude) < 1 or period <= 0:
+        raise ValueError("a cosine profile needs base > 0, |amplitude| < 1, period > 0")
+
+    def cosine(x, *rest):
+        return base * (1.0 + amplitude * np.cos(2.0 * np.pi * x / period))
+
+    return cosine
+
+
+# Every config key as section -> key -> (default, parser).  default_config()
+# is built from it and _section() parses with it.  The ``initial`` keys other
+# than ``kind`` depend on the kind and have no defaults.
+_CONFIG = {
+    "grid": {"dim": (2, _integer), "n": (64, _integer),
+             "lower": ([-1.0, -1.0], _numbers), "upper": ([1.0, 1.0], _numbers)},
+    "model": dict.fromkeys(("a_inf", "b_inf", "c_inf", "k_plus", "k_minus"), (1.0, _number)),
+    "diffusion": {"d_a": (0.05, _coefficient), "d_b": (1.0, _coefficient),
+                  "d_c": (0.1, _coefficient)},
+    "time": {"dt": (0.01, _number), "t_final": (0.2, _number)},
+    "solver": {"reaction_tol": (1e-12, _number), "cg_tol": (1e-10, _number),
+               "cg_max_iter": (None, lambda v: None if v is None else _integer(v))},
+    "output": {"out_dir": ("out", _string), "diagnostics_every": (1, _count),
+               "snapshot_every": (0, _count), "checked": (True, _bool)},
+    "initial": {"kind": ("paper-2d", _string)},
+    "study_time": {"n": (100, _integer),
+                   "dts": ([1.0 / 25, 1.0 / 50, 1.0 / 100, 1.0 / 200], _numbers),
+                   "ref_dt": (1.0 / 800, _number), "t_final": (0.2, _number)},
+    "study_space": {"hs": ([1.0 / 20, 1.0 / 30, 1.0 / 40, 1.0 / 50, 1.0 / 60], _numbers),
+                    "t_final": (0.2, _number)},
+}
+_INITIAL_KEYS = {
+    "paper-2d": {},
+    "uniform": dict.fromkeys("abc", (None, _number)),
+    "snapshot": dict.fromkeys("abc", (None, _string)),
+}
+
+
 def default_config() -> dict:
     """Built-in defaults: the benchmark scene on (-1,1)^2."""
-    return {
-        "grid": {"dim": 2, "n": 64, "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
-        "model": {"a_inf": 1.0, "b_inf": 1.0, "c_inf": 1.0, "k_plus": 1.0, "k_minus": 1.0},
-        "diffusion": {"d_a": 0.05, "d_b": 1.0, "d_c": 0.1},
-        "time": {"dt": 0.01, "t_final": 0.2},
-        "solver": {"reaction_tol": 1e-12, "cg_tol": 1e-10, "cg_max_iter": None},
-        "output": {
-            "out_dir": "out",
-            "diagnostics_every": 1,
-            "snapshot_every": 0,
-            "checked": True,
-        },
-        "initial": {"kind": "paper-2d"},
-        "study_time": {
-            "n": 100,
-            "dts": [1.0 / 25, 1.0 / 50, 1.0 / 100, 1.0 / 200],
-            "ref_dt": 1.0 / 800,
-            "t_final": 0.2,
-        },
-        "study_space": {
-            "hs": [1.0 / 20, 1.0 / 30, 1.0 / 40, 1.0 / 50, 1.0 / 60],
-            "t_final": 0.2,
-        },
-    }
+    return {name: {key: list(default) if isinstance(default, list) else default
+                   for key, (default, _) in keys.items()}
+            for name, keys in _CONFIG.items()}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -122,116 +194,53 @@ def canonical_config(cfg: dict) -> str:
 
 
 def _section(cfg: dict, name: str) -> dict:
+    """Section ``name`` with every key parsed; unknown, missing or ill-typed keys are refused."""
     sec = cfg.get(name)
     if not isinstance(sec, dict):
         raise ConfigError(f"missing or malformed config section {name!r}")
-    return sec
+    keys = _CONFIG[name]
+    if name == "initial":
+        kind = sec.get("kind")
+        if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+            raise ConfigError(f"unknown initial.kind {kind!r} (known: {', '.join(_INITIAL_KEYS)})")
+        keys = {**keys, **_INITIAL_KEYS[kind]}
+    for key in sec:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {name}.{key} (known: {', '.join(keys)})")
+    parsed = {}
+    for key, (_, parse) in keys.items():
+        if key not in sec:
+            raise ConfigError(f"{name}.{key} is required")
+        try:
+            parsed[key] = parse(sec[key])
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}.{key}: cannot parse {sec[key]!r} ({exc})") from exc
+    return parsed
 
 
-def _get(sec: dict, section: str, key: str, kind, required: bool = True):
-    if key not in sec or sec[key] is None:
-        if required:
-            raise ConfigError(f"{section}.{key} is required")
-        return None
-    value = sec[key]
+def _build(ctor, name: str, cfg: dict, **extra):
+    """``ctor(**section, **extra)``; a ValueError it raises names the section."""
+    values = _section(cfg, name)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {value!r} ({exc})") from exc
-
-
-def _integer(value) -> int:
-    """An integral number as int; 8.7, "8" and true are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError("not an integer")
-    return int(value)
-
-
-def build_grid(cfg: dict, n_override: Optional[int] = None) -> Grid:
-    sec = _section(cfg, "grid")
-    dim = _get(sec, "grid", "dim", _integer)
-    n = n_override if n_override is not None else _get(sec, "grid", "n", _integer)
-    lower = tuple(_get(sec, "grid", "lower", list))
-    upper = tuple(_get(sec, "grid", "upper", list))
-    try:
-        return Grid(dim, n, lower, upper)
+        return ctor(**values, **extra)
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
-def build_params(cfg: dict) -> ModelParams:
-    sec = _section(cfg, "model")
-    names = ("a_inf", "b_inf", "c_inf", "k_plus", "k_minus")
-    values = {name: _get(sec, "model", name, float) for name in names}
-    try:
-        return ModelParams(**values)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+build_grid = partial(_build, Grid, "grid")
+build_params = partial(_build, ModelParams, "model")
+build_coeffs = partial(_build, DiffusionCoeffs, "diffusion")
+build_time = partial(_build, TimeConfig, "time")
 
 
-def _coefficient(spec, where: str) -> Coefficient:
-    """A number is a constant; an object selects a named analytic profile."""
-    if isinstance(spec, (int, float)):
-        if not spec > 0:
-            raise ConfigError(f"{where}: coefficient must be positive, got {spec}")
-        return float(spec)
-    if isinstance(spec, dict):
-        profile = spec.get("profile")
-        if profile == "cosine":
-            base = float(spec.get("base", 1.0))
-            amplitude = float(spec.get("amplitude", 0.5))
-            period = float(spec.get("period", 2.0))
-            if base <= 0 or not abs(amplitude) < 1 or period <= 0:
-                raise ConfigError(
-                    f"{where}: cosine profile needs base > 0, |amplitude| < 1, "
-                    f"period > 0, got {spec}"
-                )
-
-            def cosine(x, *rest):
-                return base * (1.0 + amplitude * np.cos(2.0 * np.pi * x / period))
-
-            return cosine
-        raise ConfigError(f"{where}: unknown diffusion profile {profile!r}")
-    raise ConfigError(f"{where}: expected a number or a profile object, got {spec!r}")
-
-
-def build_coeffs(cfg: dict) -> DiffusionCoeffs:
-    sec = _section(cfg, "diffusion")
-    return DiffusionCoeffs(
-        _coefficient(sec.get("d_a"), "diffusion.d_a"),
-        _coefficient(sec.get("d_b"), "diffusion.d_b"),
-        _coefficient(sec.get("d_c"), "diffusion.d_c"),
-    )
-
-
-def build_time(cfg: dict) -> TimeConfig:
-    sec = _section(cfg, "time")
-    dt = _get(sec, "time", "dt", float)
-    t_final = _get(sec, "time", "t_final", float)
-    try:
-        return TimeConfig(dt=dt, t_final=t_final)
-    except ValueError as exc:
-        raise ConfigError(f"time: {exc}") from exc
-
-
-def build_options(cfg: dict, checked_flag: Optional[bool]) -> SolverOptions:
-    sec = _section(cfg, "solver")
-    out = _section(cfg, "output")
-    checked = checked_flag if checked_flag is not None else bool(out.get("checked", True))
-    return SolverOptions(
-        reaction_tol=_get(sec, "solver", "reaction_tol", float),
-        cg_tol=_get(sec, "solver", "cg_tol", float),
-        cg_max_iter=_get(sec, "solver", "cg_max_iter", _integer, required=False),
-        checked=checked,
-    )
+def build_options(cfg: dict, checked: bool) -> SolverOptions:
+    return _build(SolverOptions, "solver", cfg, checked=checked)
 
 
 def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
     """Initial-condition factory selected by config; called with the run grid."""
     sec = _section(cfg, "initial")
-    kind = sec.get("kind")
+    kind = sec["kind"]
     if kind == "paper-2d":
         def factory(grid: Grid) -> State:
             try:
@@ -240,50 +249,33 @@ def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
                 raise ConfigError(f"initial: {exc}") from exc
         return factory
     if kind == "uniform":
-        try:
-            a = float(sec["a"])
-            b = float(sec["b"])
-            c = float(sec["c"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                "initial: uniform kind needs numeric a, b, c entries"
-            ) from exc
+        a, b, c = sec["a"], sec["b"], sec["c"]
         if min(a, b, c) <= 0:
             raise ConfigError(f"initial: uniform values must be positive, got {a},{b},{c}")
         return lambda grid: State.uniform(grid, a, b, c)
-    if kind == "snapshot":
-        paths = {}
-        for name in ("a", "b", "c"):
-            path = sec.get(name)
-            if not isinstance(path, str):
-                raise ConfigError(f"initial.{name}: snapshot kind needs a file path")
-            paths[name] = path
+    paths = {name: sec[name] for name in "abc"}
 
-        def factory(grid: Grid) -> State:
-            fields = {}
-            times = {}
-            for name, path in paths.items():
-                if not os.path.exists(path):
-                    raise ConfigError(f"initial.{name}: snapshot not found: {path}")
-                f, t = read_field(path)
-                if f.grid != grid:
-                    raise ConfigError(
-                        f"initial.{name}: snapshot grid {f.grid} does not match "
-                        f"the configured grid {grid}"
-                    )
-                fields[name], times[name] = f, t
-            if len(set(times.values())) > 1:
-                stamps = ", ".join(f"{name}: t={format_float(t)}" for name, t in times.items())
-                raise ConfigError(f"initial: snapshot time stamps differ ({stamps})")
-            return State(fields["a"], fields["b"], fields["c"], times["a"])
+    def factory(grid: Grid) -> State:
+        fields, times = {}, {}
+        for name, path in paths.items():
+            if not os.path.exists(path):
+                raise ConfigError(f"initial.{name}: snapshot not found: {path}")
+            f, t = read_field(path)
+            if f.grid != grid:
+                raise ConfigError(
+                    f"initial.{name}: snapshot grid {f.grid} does not match "
+                    f"the configured grid {grid}"
+                )
+            fields[name], times[name] = f, t
+        if len(set(times.values())) > 1:
+            stamps = ", ".join(f"{name}: t={format_float(t)}" for name, t in times.items())
+            raise ConfigError(f"initial: snapshot time stamps differ ({stamps})")
+        return State(*fields.values(), times["a"])
 
-        return factory
-    raise ConfigError(
-        f"initial.kind must be 'paper-2d', 'uniform' or 'snapshot', got {kind!r}"
-    )
+    return factory
 
 
-def build_scene(cfg: dict, checked_flag: Optional[bool]) -> Scene:
+def build_scene(cfg: dict, checked: bool) -> Scene:
     grid = build_grid(cfg)
     return Scene(
         lower=grid.lower,
@@ -291,45 +283,38 @@ def build_scene(cfg: dict, checked_flag: Optional[bool]) -> Scene:
         params=build_params(cfg),
         coeffs=build_coeffs(cfg),
         initial=build_initial_factory(cfg),
-        options=build_options(cfg, checked_flag),
+        options=build_options(cfg, checked),
     )
 
 
-def _prepare(args) -> dict:
-    cfg = load_config(args.config)
-    cfg = apply_overrides(cfg, args.set or [])
-    if args.out is not None:
+def _prepare(args, *unused: str) -> dict:
+    """The merged config; unknown sections are refused and the ``unused`` ones checked."""
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    cfg = apply_overrides(load_config(args.config), args.set or [])
+    for name in cfg:
+        if name not in _CONFIG:
+            raise ConfigError(f"unknown config section {name!r} (known: {', '.join(_CONFIG)})")
+    if args.out is not None and isinstance(cfg["output"], dict):
         cfg["output"]["out_dir"] = args.out
+    for name in unused:
+        _section(cfg, name)
     return cfg
 
 
-def _out_dir(cfg: dict) -> str:
-    out = _section(cfg, "output")
-    path = out.get("out_dir", "out")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _every(out_sec: dict, key: str) -> int:
-    """An output interval in steps: a non-negative integer, 0 disables."""
-    every = _get(out_sec, "output", key, _integer)
-    if every < 0:
-        raise ConfigError(f"output.{key} must be >= 0 (0 disables), got {every}")
-    return every
+def _out_dir(output: dict) -> str:
+    os.makedirs(output["out_dir"], exist_ok=True)
+    return output["out_dir"]
 
 
 def cmd_run(args) -> int:
-    cfg = _prepare(args)
-    grid = build_grid(cfg)
-    params = build_params(cfg)
-    coeffs = build_coeffs(cfg)
+    cfg = _prepare(args, "study_time", "study_space")
+    output = _section(cfg, "output")
+    scene = build_scene(cfg, output["checked"] if args.checked is None else args.checked)
     tc = build_time(cfg)
-    options = build_options(cfg, args.checked)
-    initial = build_initial_factory(cfg)(grid)
-    out_sec = _section(cfg, "output")
-    diagnostics_every = _every(out_sec, "diagnostics_every")
-    snapshot_every = _every(out_sec, "snapshot_every")
-    out_dir = _out_dir(cfg)
+    initial = scene.initial(scene.grid(_section(cfg, "grid")["n"]))
+    snapshot_every = output["snapshot_every"]
+    out_dir = _out_dir(output)
 
     def on_snapshot(step: int, state: State) -> None:
         for name, f in state.species():
@@ -337,8 +322,8 @@ def cmd_run(args) -> int:
                         time=state.time)
 
     final, rows = run_simulation(
-        initial, tc, params, coeffs, options,
-        diagnostics_every=diagnostics_every,
+        initial, tc, scene.params, scene.coeffs, scene.options,
+        diagnostics_every=output["diagnostics_every"],
         snapshot_every=snapshot_every,
         on_snapshot=on_snapshot if snapshot_every > 0 else None,
     )
@@ -354,40 +339,30 @@ def cmd_run(args) -> int:
 
 
 def cmd_study_time(args) -> int:
-    cfg = _prepare(args)
-    sec = _section(cfg, "study_time")
-    dts = sec.get("dts")
-    if not isinstance(dts, list) or len(dts) < 2:
-        raise ConfigError("study_time.dts must list at least two step sizes")
-    ref_dt = _get(sec, "study_time", "ref_dt", float)
-    t_final = _get(sec, "study_time", "t_final", float)
-    n = _get(sec, "study_time", "n", _integer)
-    scene = build_scene(cfg, args.checked if args.checked is not None else False)
-    grid = build_grid(cfg, n_override=n)
+    cfg = _prepare(args, "time", "study_space")
+    study = _section(cfg, "study_time")
+    output = _section(cfg, "output")
+    scene = build_scene(cfg, bool(args.checked))
     try:
-        report = temporal_order(dts, ref_dt, grid, t_final, scene, jobs=args.jobs)
+        report = temporal_order(study["dts"], study["ref_dt"], scene.grid(study["n"]),
+                                study["t_final"], scene, jobs=args.jobs)
     except ValueError as exc:
         raise ConfigError(f"study_time: {exc}") from exc
-    out_dir = _out_dir(cfg)
-    report.write_csv(os.path.join(out_dir, "temporal_orders.csv"))
+    report.write_csv(os.path.join(_out_dir(output), "temporal_orders.csv"))
     print(report.format_table())
     return 0
 
 
 def cmd_study_space(args) -> int:
-    cfg = _prepare(args)
-    sec = _section(cfg, "study_space")
-    hs = sec.get("hs")
-    if not isinstance(hs, list) or len(hs) < 3:
-        raise ConfigError("study_space.hs must list at least three mesh sizes")
-    t_final = _get(sec, "study_space", "t_final", float)
-    scene = build_scene(cfg, args.checked if args.checked is not None else False)
+    cfg = _prepare(args, "time", "study_time")
+    study = _section(cfg, "study_space")
+    output = _section(cfg, "output")
+    scene = build_scene(cfg, bool(args.checked))
     try:
-        report = spatial_cauchy_order(hs, t_final, scene, jobs=args.jobs)
+        report = spatial_cauchy_order(study["hs"], study["t_final"], scene, jobs=args.jobs)
     except ValueError as exc:
         raise ConfigError(f"study_space: {exc}") from exc
-    out_dir = _out_dir(cfg)
-    report.write_csv(os.path.join(out_dir, "spatial_orders.csv"))
+    report.write_csv(os.path.join(_out_dir(output), "spatial_orders.csv"))
     print(report.format_table())
     return 0
 
@@ -408,8 +383,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config entry, e.g. --set time.dt=0.005")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for study runs")
     parser.add_argument("--checked", dest="checked", action="store_true", default=None,
                         help="verify positivity/energy/mass invariants every step")
     parser.add_argument("--unchecked", dest="checked", action="store_false",
@@ -423,17 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="advance the configured scene in time")
-    _add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_time = sub.add_parser("study-time", help="temporal convergence study")
-    _add_common(p_time)
-    p_time.set_defaults(func=cmd_study_time)
-
-    p_space = sub.add_parser("study-space", help="spatial Cauchy convergence study")
-    _add_common(p_space)
-    p_space.set_defaults(func=cmd_study_space)
+    for name, func, about in (
+        ("run", cmd_run, "advance the configured scene in time"),
+        ("study-time", cmd_study_time, "temporal convergence study"),
+        ("study-space", cmd_study_space, "spatial Cauchy convergence study"),
+    ):
+        p = sub.add_parser(name, help=about)
+        _add_common(p)
+        if func is not cmd_run:
+            p.add_argument("--jobs", type=int, default=1, help="worker threads for study runs")
+        p.set_defaults(func=func)
 
     p_inspect = sub.add_parser("inspect", help="print snapshot header and statistics")
     p_inspect.add_argument("snapshot", help="path to an rxd-field v1 file")

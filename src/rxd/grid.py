@@ -20,6 +20,7 @@ chemical potentials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -60,6 +61,8 @@ class Grid:
                 f"lower/upper must have {self.dim} entries, "
                 f"got {len(lower)} and {len(upper)}"
             )
+        if not all(map(math.isfinite, lower + upper)):
+            raise ValueError(f"domain bounds must be finite, got lower={lower}, upper={upper}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         spacings = [(u - l) / self.n for l, u in zip(lower, upper)]
@@ -212,6 +215,8 @@ class ModelParams:
             v = getattr(self, name)
             if not v > 0.0:
                 raise PositivityError(f"{name} must be positive, got {v}")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         lhs = self.k_plus * self.a_inf * self.b_inf
         rhs = self.k_minus * self.c_inf
         if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs)):

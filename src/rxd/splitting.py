@@ -12,6 +12,7 @@ Also provides the standard benchmark initial condition on
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, TextIO, Union
@@ -45,10 +46,10 @@ class TimeConfig:
     t_final: float
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_final > 0.0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        for name in ("dt", "t_final"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         ratio = self.t_final / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * ratio or round(ratio) < 1:
             raise ValueError(
@@ -75,6 +76,16 @@ class SolverOptions:
     cg_tol: float = 1e-10
     cg_max_iter: Optional[int] = None
     checked: bool = True
+
+    def __post_init__(self):
+        for name in ("reaction_tol", "cg_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("reaction_max_iter", "cg_max_iter"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """CLI behaviour: exit codes, file outputs, overrides, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from rxd import Field, Grid, write_field
 from rxd.cli import (
+    _section,
     apply_overrides,
     canonical_config,
     default_config,
@@ -264,6 +266,65 @@ def test_parse_error_names_its_section_once(tmp_path, capsys, key):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: cannot parse 'abc'"), err
+
+
+@pytest.mark.parametrize(
+    "setting,named",
+    [
+        # must not end in a traceback
+        ("output.out_dir=5", "output.out_dir"),
+        ("study_time.dts=[0.1,null]", "study_time.dts"),
+        ("study_space.hs=[0.5,0.25,null]", "study_space.hs"),
+        ('diffusion.d_a={"profile":"cosine","base":null}', "diffusion.d_a"),
+        ("time.t_final=Infinity", "time.t_final"),
+        # must not be silently accepted
+        ("time.dtt=0.5", "time.dtt"),
+        ("grid.nn=8", "grid.nn"),
+        ("bogus.key=1", "bogus"),
+        ("diffusion.d_a=true", "diffusion.d_a"),
+        ("model.a_inf=true", "model.a_inf"),
+        ('output.checked="no"', "output.checked"),
+        ("solver.reaction_tol=-1", "reaction_tol"),
+        ("solver.cg_tol=NaN", "solver.cg_tol"),
+        # must not pass a checked run with infinite energy
+        ("grid.upper=[Infinity,1]", "grid.upper"),
+        ("model.a_inf=Infinity", "model.a_inf"),
+        # a config error (2), not a solver failure (3)
+        ("diffusion.d_a=Infinity", "diffusion.d_a"),
+    ],
+)
+def test_rejects_bad_values_and_unknown_keys(tmp_path, monkeypatch, capsys, setting, named):
+    monkeypatch.chdir(tmp_path)  # no --out: the configured out_dir must not appear either
+    code = run_cli("run", "--set", "grid.n=8", "--set", "time.t_final=0.02", "--set", setting)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err
+    assert len(err.strip().splitlines()) == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["study-time", "study-space"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_study_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
+    code = run_cli(command, "--out", str(tmp_path / "out"), "--jobs", jobs)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --jobs") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_has_no_jobs_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*fast_run_args(tmp_path, "--jobs", "1"))
+    assert exc.value.code == 2
+
+
+def test_benchmark_config_file_is_the_defaults():
+    path = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+    assert path.read_bytes() == canonical_config(default_config()).encode()
+    cfg = load_config(str(path))
+    for name in cfg:
+        _section(cfg, name)
 
 
 def test_integral_float_counts_are_accepted(tmp_path):

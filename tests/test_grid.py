@@ -41,6 +41,10 @@ def test_grid_rejects_bad_input():
         Grid(1, 4, (1.0,), (0.0,))  # degenerate domain
     with pytest.raises(ValueError):
         Grid(2, 4, (0.0,), (1.0, 1.0))  # wrong bound arity
+    with pytest.raises(ValueError):
+        Grid(2, 8, (-1.0, -1.0), (np.inf, 1.0))  # h = inf
+    with pytest.raises(ValueError):
+        Grid(1, 8, (np.nan,), (1.0,))
 
 
 def test_mesh_axis_convention():
@@ -67,6 +71,10 @@ def test_model_params_detailed_balance():
         ModelParams(1.0, 1.0, 2.0)
     with pytest.raises(PositivityError):
         ModelParams(-1.0, 1.0, -1.0)
+    with pytest.raises(ValueError):
+        ModelParams(np.inf, 1.0, np.inf)  # inf - inf is nan, which passed the balance check
+    with pytest.raises(ValueError):
+        ModelParams(1.0, 1.0, 1.0, k_plus=np.inf, k_minus=np.inf)
 
 
 def test_state_requires_shared_grid():

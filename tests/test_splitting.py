@@ -37,6 +37,25 @@ def test_time_config():
         TimeConfig(0.01, 0.0)
     with pytest.raises(ValueError):
         TimeConfig(0.4, 0.2)  # zero steps
+    for dt, t_final in ((0.01, np.inf), (np.inf, 0.2), (np.nan, 0.2), (0.01, np.nan)):
+        with pytest.raises(ValueError):
+            TimeConfig(dt, t_final)
+
+
+def test_solver_options_validate_their_fields():
+    SolverOptions(reaction_tol=1e-14, cg_tol=1e-3, reaction_max_iter=1, cg_max_iter=1)
+    for bad in (
+        {"reaction_tol": -1.0},
+        {"reaction_tol": 0.0},
+        {"reaction_tol": np.inf},
+        {"cg_tol": np.nan},  # made the CG loop exit at once, reported as converged
+        {"cg_tol": 0.0},
+        {"reaction_max_iter": 0},
+        {"cg_max_iter": 0},
+        {"cg_max_iter": -3},
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverOptions(**bad)
 
 
 def test_full_step_equilibrium_fixed_point():
