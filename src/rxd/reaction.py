@@ -14,21 +14,16 @@ exists, is unique, and automatically keeps a - R, b - R, c + R and
 R + k- c dt strictly positive.  The trajectory counter resets to zero at
 the start of every step.
 
-The root is found by safeguarded Newton iteration: a Newton candidate is
-accepted only while it stays strictly inside the current sign-change
-bracket, otherwise the step falls back to bisection, so no logarithm is
-evaluated outside its domain.  G is first evaluated at two points, R = 0
-and the linearly implicit rate estimate
-
-    R1 = dt (k+ a b - k- c) / (1 + dt (k+ (a + b) + k-)),
-
-one backward-Euler step of the reaction ODE linearised at (a, b, c), or 0
-where R1 falls outside the bracket.  Both points tighten the bracket.
-Newton starts from R1 where G(R1) has the sign of G(0) (R1 then lies
-between 0 and the root) or where |G(R1)| < 1/2, and from R = 0 elsewhere.
-Choosing by the smaller |G| instead can start Newton just past a root that
-sits next to a singularity, where its steps leave the bracket and bisection
-needs hundreds of halvings.
+Multiplying out the logarithms turns G(R) = 0 into the quadratic
+a_inf b_inf (R + k- c dt)(c + R) = c_inf k- c dt (a - R)(b - R), i.e.
+A R^2 + B R + C = 0 with B > 0.  The root is its cancellation-free closed
+form R = -2 (C/B) / (1 + sqrt(1 - 4 A (C/B) / B)), with C/B formed without
+C (which underflows for c near 1e-300), or 0 where roundoff puts it outside
+the bracket.  A safeguarded Newton loop polishes and backs up that root: it
+runs only on cells whose |G| still exceeds the tolerance, and accepts a
+Newton candidate only while it stays strictly inside the current
+sign-change bracket, else bisects, so no logarithm is evaluated outside its
+domain and strict positivity comes from the bracket.
 
 There is one Newton loop, vectorized over cells.  The scalar
 :func:`solve_reaction_cell` validates its inputs and runs that loop on
@@ -99,7 +94,7 @@ def _solve_field(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Safeguarded Newton over all cells at once; converged cells are frozen.
+    """Closed-form root, then safeguarded Newton over the unconverged cells.
 
     ``dt`` is a float or an array that broadcasts against the cells.
     Converges per cell when |G(R)| <= tol, or when the sign-change bracket
@@ -110,22 +105,15 @@ def _solve_field(
     cdt = params.k_minus * c * dt
     lo = -np.minimum(cdt, c) * _EDGE
     hi = np.minimum(a, b) * _EDGE
-    g = _residual(0.0, a, b, c, cdt, params)
-    np.maximum(lo, 0.0, out=lo, where=g < 0.0)
-    np.minimum(hi, 0.0, out=hi, where=g >= 0.0)
-    # Linearly implicit rate estimate R1, replaced by 0 outside the bracket.
-    r = (params.k_plus * a * b - params.k_minus * c) * dt
-    r /= 1.0 + dt * (params.k_plus * (a + b) + params.k_minus)
+    # The quadratic's bracketed root; q = C/B.
+    ab_inf = params.a_inf * params.b_inf
+    big_a = ab_inf - params.c_inf * cdt
+    big_b = ab_inf * (c + cdt) + params.c_inf * cdt * (a + b)
+    q = (ab_inf * c - params.c_inf * a * b) * (cdt / big_b)
+    r = -2.0 * q / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * big_a * q / big_b)))
+    del big_a, big_b, q
     np.copyto(r, 0.0, where=~((r > lo) & (r < hi)))
-    g1 = _residual(r, a, b, c, cdt, params)
-    np.maximum(lo, r, out=lo, where=g1 < 0.0)
-    np.minimum(hi, r, out=hi, where=g1 >= 0.0)
-    # Start from R1 only where it lies between 0 and the root or is close to
-    # it; the module docstring says why not by the smaller |G|.
-    from_r1 = ((g1 < 0.0) == (g < 0.0)) | (np.abs(g1) < 0.5)
-    np.copyto(r, 0.0, where=~from_r1)
-    np.copyto(g, g1, where=from_r1)
-    del g1, from_r1
+    g = _residual(r, a, b, c, cdt, params)
     iterations = np.zeros(a.shape, dtype=np.int64)
     active = np.ones(a.shape, dtype=bool)
     for _ in range(max_iter):

@@ -4,7 +4,8 @@ Each full step applies the implicit reaction-trajectory update with the
 whole step size, then the implicit Euler diffusion update with the same
 step size (Lie splitting, reaction first).  Both stages dissipate the same
 discrete free energy and preserve cellwise positivity, so in checked mode
-those guarantees are asserted after every step.
+energy decay is asserted across each stage and each step, and positivity
+after every step.
 
 Also provides the standard benchmark initial condition on
 (-1, 1)^2 and the diagnostics CSV format.
@@ -32,7 +33,8 @@ from .grid import (
 from .reaction import step_reaction
 from .snapshots import format_float
 
-# Slack for the per-step energy monotonicity assertion, relative to 1 + |F|.
+# Slack for the per-stage and per-step energy monotonicity assertions,
+# relative to 1 + |F| before the stage or step.
 ENERGY_SLACK = 1e-10
 # Allowed relative drift of the conserved masses <a+c, 1> and <b+c, 1>.
 MASS_DRIFT_TOL = 1e-8
@@ -165,6 +167,7 @@ def full_step(
     star, reaction = step_reaction(
         state, dt, params, tol=options.reaction_tol, max_iter=options.reaction_max_iter
     )
+    energy_star = discrete_energy(star, params) if checked else None
     next_state, reports = step_diffusion(
         star, coeffs, dt, tol=options.cg_tol, max_iter=options.cg_max_iter
     )
@@ -179,10 +182,15 @@ def full_step(
         )
     if checked:
         next_state.require_positive("full_step output")
-        if row.energy > energy_before + ENERGY_SLACK * (1.0 + abs(energy_before)):
-            raise AssertionError(
-                f"energy increased across a step: {energy_before!r} -> {row.energy!r}"
-            )
+        for label, before, after in (
+            ("reaction stage", energy_before, energy_star),
+            ("diffusion stage", energy_star, row.energy),
+            ("step", energy_before, row.energy),
+        ):
+            if after > before + ENERGY_SLACK * (1.0 + abs(before)):
+                raise AssertionError(
+                    f"energy increased across the {label}: {before!r} -> {after!r}"
+                )
     return next_state, row
 
 

@@ -56,8 +56,10 @@ def test_rejects_nonpositive_inputs():
 
 
 def test_iteration_cap_reports_cell_data():
+    # The closed-form start meets the default tol here; tol=1e-300 forces
+    # the polishing loop to run into its cap.
     with pytest.raises(ConvergenceError, match="a=2.0"):
-        solve_reaction_cell(2.0, 2.0, 1.0, 0.1, P_UNIT, max_iter=1)
+        solve_reaction_cell(2.0, 2.0, 1.0, 0.1, P_UNIT, tol=1e-300, max_iter=1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,6 +121,16 @@ def test_near_singular_inputs(a, b, c, dt):
     assert result.r.values[0] == r
 
 
+@pytest.mark.parametrize("a,b,c,dt", NEAR_SINGULAR)
+def test_near_singular_inputs_need_few_iterations(a, b, c, dt):
+    # Bisection from the bracket ends needs ~80 halvings to reach a root of
+    # ~1e-152 in a bracket of width ~1; the closed form leaves at most a
+    # short polish.
+    cells = (np.array([v]) for v in (a, b, c))
+    _, iterations, _ = _solve_field(*cells, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert iterations.max() <= 3
+
+
 def test_large_dt_inputs_converge():
     # With k- dt > 1 the left end of the bracket is -c, not -k- c dt; a
     # bracket reaching past -c put iterates where ln(c + R) is NaN.
@@ -141,6 +153,25 @@ def test_benchmark_scene_matches_oracle(dt):
     s = _benchmark_scene(32)
     _, result = step_reaction(s, dt, P_UNIT)
     reference = bisect_reaction(*s.u, dt)
+    np.testing.assert_allclose(result.r.values, reference, rtol=0.0, atol=1e-11)
+
+
+# (a_inf, b_inf, c_inf, k+, k-) with k+ a_inf b_inf = k- c_inf.
+DETAILED_BALANCE = [(1.0, 1.0, 1.0, 1.0, 1.0), (2.0, 0.5, 1.5, 1.5, 1.0), (1.0, 1.0, 1.0, 2.0, 2.0)]
+
+
+@pytest.mark.parametrize("rates", DETAILED_BALANCE)
+@pytest.mark.parametrize("dt", [1 / 1600, 0.01, 1.0, 100.0])
+def test_closed_form_root_needs_no_newton(dt, rates):
+    # The quadratic's root is the solve, not a start that Newton repairs: a
+    # wrong coefficient would show here as iterations or as a gap to the
+    # oracle.  The oracle's equation has k- = 1, so k- dt is its dt.
+    a_inf, b_inf, c_inf, k_plus, k_minus = rates
+    p = ModelParams(a_inf, b_inf, c_inf, k_plus=k_plus, k_minus=k_minus)
+    s = _benchmark_scene(32)
+    _, result = step_reaction(s, dt, p)
+    assert result.iterations.max() == 0
+    reference = bisect_reaction(*s.u, k_minus * dt, a_inf=a_inf, b_inf=b_inf, c_inf=c_inf)
     np.testing.assert_allclose(result.r.values, reference, rtol=0.0, atol=1e-11)
 
 

@@ -19,6 +19,7 @@ from rxd import (
     run_simulation,
     write_diagnostics_csv,
 )
+from rxd import splitting
 from rxd.splitting import DIAGNOSTICS_HEADER
 
 P_UNIT = ModelParams(1.0, 1.0, 1.0)
@@ -66,6 +67,24 @@ def test_full_step_equilibrium_fixed_point():
         assert np.max(np.abs(f_out.values - f_in.values)) <= 1e-12
     assert row.energy == pytest.approx(-12.0, rel=1e-14)
     assert out.time == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "stage,label", [("step_reaction", "reaction stage"), ("step_diffusion", "diffusion stage")]
+)
+def test_checked_step_names_the_stage_that_raised_energy(monkeypatch, stage, label):
+    # Doubling every concentration of the equilibrium state raises its
+    # energy from -1 to 2 (ln 2 - 1) per species and unit area.
+    real = getattr(splitting, stage)
+
+    def heating(state, *args, **kwargs):
+        out, report = real(state, *args, **kwargs)
+        return State.from_stack(out.grid, 2.0 * out.u, out.time), report
+
+    monkeypatch.setattr(splitting, stage, heating)
+    g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(AssertionError, match=f"energy increased across the {label}"):
+        full_step(State.uniform(g, 1.0, 1.0, 1.0), 0.1, P_UNIT, COEFFS)
 
 
 def test_full_step_uniform_state_reduces_to_reaction():

@@ -7,11 +7,12 @@ checks every site without running the benchmark.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from rxd import cli, diffusion, grid, splitting, study
+from rxd import Grid, cli, diffusion, grid, make_initial_condition, splitting, study, write_field
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -56,3 +57,37 @@ def test_run_writes_every_snapshot_through_cli_write_field(tmp_path, monkeypatch
     assert len(calls) == 3 * (steps + 1)
     for args in calls:
         assert isinstance(args[1], str) and Path(args[1]).is_file()
+
+
+def test_info_callbacks_read_real_outputs(tmp_path, monkeypatch):
+    # A callback that no longer fits its site's output fails only in a
+    # traced benchmark run; run each on what its site really returns.
+    infos = {}
+    for owner, attr, _, info in SITES:
+        if info is None:
+            continue
+
+        def with_info(*args, _fn=getattr(owner, attr), _attr=attr, _info=info, **kwargs):
+            out = _fn(*args, **kwargs)
+            infos.setdefault(_attr, []).append(_info(args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(owner, attr, with_info)
+    n, steps = 8, 2
+    initial = {"kind": "snapshot"}
+    for name, f in make_initial_condition(Grid.box(2, n, -1.0, 1.0)).species():
+        initial[name] = str(tmp_path / f"init_{name}.txt")
+        write_field(f, initial[name], time=0.0)
+    code = cli.main([
+        "run", "--out", str(tmp_path / "out"),
+        "--set", f"grid.n={n}", "--set", "time.dt=0.1", "--set", f"time.t_final={0.1 * steps}",
+        "--set", "output.snapshot_every=1", "--set", f"initial={json.dumps(initial)}",
+    ])
+    assert code == 0
+    assert set(infos) == {attr for _, attr, _, info in SITES if info is not None}
+    assert all(v is not None for values in infos.values() for v in values)
+    assert len(infos["step_reaction"]) == steps
+    for total, most, cells in infos["step_reaction"]:
+        assert cells == n * n and 0 <= most <= total
+    assert [len(step) for step in infos["step_diffusion"]] == [3] * steps
+    assert all(size > 0 for size in infos["write_field"] + infos["read_field"])
