@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 from typing import Callable, Optional
 
@@ -41,7 +42,7 @@ from .splitting import (
     run_simulation,
     write_diagnostics_csv,
 )
-from .study import Scene, spatial_cauchy_order, temporal_order
+from .study import Scene, benchmark_scene, spatial_cauchy_order, temporal_order
 
 
 def _number(value) -> float:
@@ -106,14 +107,15 @@ def _coefficient(spec) -> Coefficient:
 
 
 # Every config key as section -> key -> (default, parser).  default_config()
-# is built from it and _section() parses with it.  The ``initial`` keys other
-# than ``kind`` depend on the kind and have no defaults.
+# is built from it and _section() parses with it.  The domain, model and
+# diffusion defaults are those of the benchmark scene.  The ``initial`` keys
+# other than ``kind`` depend on the kind and have no defaults.
+_SCENE = benchmark_scene()
 _CONFIG = {
-    "grid": {"dim": (2, _integer), "n": (64, _integer),
-             "lower": ([-1.0, -1.0], _numbers), "upper": ([1.0, 1.0], _numbers)},
-    "model": dict.fromkeys(("a_inf", "b_inf", "c_inf", "k_plus", "k_minus"), (1.0, _number)),
-    "diffusion": {"d_a": (0.05, _coefficient), "d_b": (1.0, _coefficient),
-                  "d_c": (0.1, _coefficient)},
+    "grid": {"dim": (_SCENE.dim, _integer), "n": (64, _integer),
+             "lower": (list(_SCENE.lower), _numbers), "upper": (list(_SCENE.upper), _numbers)},
+    "model": {key: (value, _number) for key, value in asdict(_SCENE.params).items()},
+    "diffusion": {key: (value, _coefficient) for key, value in asdict(_SCENE.coeffs).items()},
     "time": {"dt": (0.01, _number), "t_final": (0.2, _number)},
     "solver": {"reaction_tol": (1e-12, _number), "cg_tol": (1e-10, _number),
                "cg_max_iter": (None, lambda v: None if v is None else _integer(v))},
@@ -328,41 +330,29 @@ def cmd_run(args) -> int:
         on_snapshot=on_snapshot if snapshot_every > 0 else None,
     )
     write_diagnostics_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
+    summary = f"run complete: {tc.steps} steps to t={format_float(final.time)}"
     if rows:
-        print(
-            f"run complete: {tc.steps} steps to t={format_float(final.time)}, "
-            f"energy {format_float(rows[0].energy)} -> {format_float(rows[-1].energy)}"
-        )
-    else:
-        print(f"run complete: {tc.steps} steps to t={format_float(final.time)}")
+        summary += f", energy {format_float(rows[0].energy)} -> {format_float(rows[-1].energy)}"
+    print(summary)
     return 0
 
 
-def cmd_study_time(args) -> int:
-    cfg = _prepare(args, "time", "study_space")
-    study = _section(cfg, "study_time")
+def cmd_study(args) -> int:
+    """``study-time`` or ``study-space``, by ``args.command``."""
+    name = args.command.replace("-", "_")
+    cfg = _prepare(args, "time", "study_space" if name == "study_time" else "study_time")
+    study = _section(cfg, name)
     output = _section(cfg, "output")
     scene = build_scene(cfg, bool(args.checked))
     try:
-        report = temporal_order(study["dts"], study["ref_dt"], scene.grid(study["n"]),
-                                study["t_final"], scene, jobs=args.jobs)
+        if name == "study_time":
+            report = temporal_order(study["dts"], study["ref_dt"], scene.grid(study["n"]),
+                                    study["t_final"], scene, jobs=args.jobs)
+        else:
+            report = spatial_cauchy_order(study["hs"], study["t_final"], scene, jobs=args.jobs)
     except ValueError as exc:
-        raise ConfigError(f"study_time: {exc}") from exc
-    report.write_csv(os.path.join(_out_dir(output), "temporal_orders.csv"))
-    print(report.format_table())
-    return 0
-
-
-def cmd_study_space(args) -> int:
-    cfg = _prepare(args, "time", "study_time")
-    study = _section(cfg, "study_space")
-    output = _section(cfg, "output")
-    scene = build_scene(cfg, bool(args.checked))
-    try:
-        report = spatial_cauchy_order(study["hs"], study["t_final"], scene, jobs=args.jobs)
-    except ValueError as exc:
-        raise ConfigError(f"study_space: {exc}") from exc
-    report.write_csv(os.path.join(_out_dir(output), "spatial_orders.csv"))
+        raise ConfigError(f"{name}: {exc}") from exc
+    report.write_csv(os.path.join(_out_dir(output), f"{report.kind}_orders.csv"))
     print(report.format_table())
     return 0
 
@@ -384,7 +374,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config entry, e.g. --set time.dt=0.005")
     parser.add_argument("--checked", dest="checked", action="store_true", default=None,
-                        help="verify positivity/energy/mass invariants every step")
+                        help="verify positivity/energy/mass invariants every step; overrides "
+                             "output.checked, which only run reads (studies are unchecked "
+                             "without this flag)")
     parser.add_argument("--unchecked", dest="checked", action="store_false",
                         help="skip per-step invariant verification")
 
@@ -398,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, about in (
         ("run", cmd_run, "advance the configured scene in time"),
-        ("study-time", cmd_study_time, "temporal convergence study"),
-        ("study-space", cmd_study_space, "spatial Cauchy convergence study"),
+        ("study-time", cmd_study, "temporal convergence study"),
+        ("study-space", cmd_study, "spatial Cauchy convergence study"),
     ):
         p = sub.add_parser(name, help=about)
         _add_common(p)

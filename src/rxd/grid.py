@@ -272,7 +272,7 @@ class State:
 
     def require_positive(self, context: str = "state") -> None:
         for name, row in zip("abc", self.u):
-            m = row.min()
+            m = float(row.min())
             if not m > 0.0:
                 cell = int(np.argmin(row.ravel()))
                 raise PositivityError(

@@ -17,8 +17,10 @@ one.
 
 from __future__ import annotations
 
+import math
 import os
-from typing import TextIO, Union
+from contextlib import nullcontext
+from typing import Iterable, TextIO, Union
 
 import numpy as np
 
@@ -88,24 +90,33 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _opened(file: Union[str, os.PathLike, TextIO], mode: str):
+    """An open text file as it is (left open), else the path opened in ``mode``."""
+    if hasattr(file, "read" if mode == "r" else "write"):
+        return nullcontext(file)
+    return open(file, mode, encoding="ascii")
+
+
+def write_csv(dest: Union[str, os.PathLike, TextIO], header: str,
+              rows: Iterable[Iterable[str]]) -> None:
+    """Write ``header``, then each row's cells comma-joined, to a path or open text file."""
+    with _opened(dest, "w") as fh:
+        fh.write(header + "\n")
+        for cells in rows:
+            fh.write(",".join(cells) + "\n")
+
+
 def write_field(f: Field, dest: Union[str, os.PathLike, TextIO], time: float = 0.0) -> None:
     """Write a field snapshot; ``dest`` is a path or an open text file."""
-    if hasattr(dest, "write"):
-        _write(f, dest, time)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            _write(f, fh, time)
-
-
-def _write(f: Field, fh: TextIO, time: float) -> None:
     g = f.grid
     lower = ",".join(format_float(x) for x in g.lower)
     upper = ",".join(format_float(x) for x in g.upper)
-    fh.write(f"{MAGIC}\n")
-    fh.write(f"dim={g.dim} n={g.n} lower={lower} upper={upper} t={format_float(time)}\n")
     values = f.values.ravel()
-    for start in range(0, values.size, _CHUNK):
-        fh.write(_format_lines(values[start:start + _CHUNK]))
+    with _opened(dest, "w") as fh:
+        fh.write(f"{MAGIC}\n")
+        fh.write(f"dim={g.dim} n={g.n} lower={lower} upper={upper} t={format_float(time)}\n")
+        for start in range(0, values.size, _CHUNK):
+            fh.write(_format_lines(values[start:start + _CHUNK]))
 
 
 def _scaled_digits(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -162,31 +173,30 @@ def _format_lines(x: np.ndarray) -> str:
 
 def read_field(src: Union[str, os.PathLike, TextIO]) -> tuple[Field, float]:
     """Read a snapshot, returning the field and the recorded time stamp."""
-    if hasattr(src, "read"):
-        return _read(src, "<stream>")
-    with open(src, "r", encoding="ascii") as fh:
-        return _read(fh, os.fspath(src))
-
-
-def _read(fh: TextIO, name: str) -> tuple[Field, float]:
-    magic = fh.readline().rstrip("\n")
-    if magic != MAGIC:
-        raise ValueError(f"{name}: not a {MAGIC!r} snapshot (first line {magic!r})")
-    header = fh.readline().rstrip("\n")
-    fields = {}
-    for token in header.split():
-        key, _, value = token.partition("=")
-        fields[key] = value
-    try:
-        dim = int(fields["dim"])
-        n = int(fields["n"])
-        lower = tuple(float(x) for x in fields["lower"].split(","))
-        upper = tuple(float(x) for x in fields["upper"].split(","))
-        time = float(fields["t"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{name}: malformed snapshot header {header!r}") from exc
-    grid = Grid(dim, n, lower, upper)
-    values = np.loadtxt(fh, dtype=float, ndmin=1)
+    name = "<stream>" if hasattr(src, "read") else os.fspath(src)
+    with _opened(src, "r") as fh:
+        magic = fh.readline().rstrip("\n")
+        if magic != MAGIC:
+            raise ValueError(f"{name}: not a {MAGIC!r} snapshot (first line {magic!r})")
+        header = fh.readline().rstrip("\n")
+        fields = {}
+        for token in header.split():
+            key, _, value = token.partition("=")
+            fields[key] = value
+        try:
+            dim = int(fields["dim"])
+            n = int(fields["n"])
+            lower = tuple(float(x) for x in fields["lower"].split(","))
+            upper = tuple(float(x) for x in fields["upper"].split(","))
+            time = float(fields["t"])
+            if not math.isfinite(time):
+                raise ValueError("non-finite time stamp")
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{name}: malformed snapshot header {header!r}") from exc
+        grid = Grid(dim, n, lower, upper)
+        values = np.loadtxt(fh, dtype=float, ndmin=2)
+    if values.shape[1] != 1:
+        raise ValueError(f"{name}: expected one value per line, found {values.shape[1]}")
     if values.size != grid.num_cells:
         raise ValueError(
             f"{name}: expected {grid.num_cells} values, found {values.size}"

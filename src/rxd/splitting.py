@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, Optional, TextIO, Union
 
 import numpy as np
@@ -31,7 +31,7 @@ from .grid import (
     mean_value,
 )
 from .reaction import step_reaction
-from .snapshots import format_float
+from .snapshots import format_float, write_csv
 
 # Slack for the per-stage and per-step energy monotonicity assertions,
 # relative to 1 + |F| before the stage or step.
@@ -106,24 +106,14 @@ class DiagnosticsRow:
     cg_iters_c: int
 
 
-_DIAGNOSTICS_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
-DIAGNOSTICS_HEADER = ",".join(_DIAGNOSTICS_FIELDS)
-
-
-def format_diagnostics_row(row: DiagnosticsRow) -> str:
-    """Integers as written, floats at 17 significant digits, in field order."""
-    values = (getattr(row, name) for name in _DIAGNOSTICS_FIELDS)
-    return ",".join(str(v) if isinstance(v, int) else format_float(v) for v in values)
+DIAGNOSTICS_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 
 def write_diagnostics_csv(rows, dest: Union[str, os.PathLike, TextIO]) -> None:
-    if hasattr(dest, "write"):
-        dest.write(DIAGNOSTICS_HEADER + "\n")
-        for row in rows:
-            dest.write(format_diagnostics_row(row) + "\n")
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            write_diagnostics_csv(rows, fh)
+    """Integers as written, floats at 17 significant digits, in field order."""
+    cells = ([str(v) if isinstance(v, int) else format_float(v) for v in astuple(row)]
+             for row in rows)
+    write_csv(dest, DIAGNOSTICS_HEADER, cells)
 
 
 def _state_row(state: State, params: ModelParams, step: int,
@@ -181,7 +171,6 @@ def full_step(
             cg_iters=tuple(r.iterations for r in reports),
         )
     if checked:
-        next_state.require_positive("full_step output")
         for label, before, after in (
             ("reaction stage", energy_before, energy_star),
             ("diffusion stage", energy_star, row.energy),

@@ -19,12 +19,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .grid import DiffusionCoeffs, Field, Grid, ModelParams, State, norm_max
-from .snapshots import format_float
+from .grid import DiffusionCoeffs, Field, Grid, ModelParams, State
+from .snapshots import format_float, write_csv
 from .splitting import (
     SolverOptions,
     TimeConfig,
@@ -90,19 +91,18 @@ class RefinementReport:
     def all_orders(self) -> list[float]:
         return [o for row in self.orders for o in row]
 
+    def _rows(self):
+        """(param, errors, orders) per row; orders start on the second row."""
+        return zip(self.params, self.errors, [None, *self.orders])
+
     def write_csv(self, dest: Union[str, os.PathLike, TextIO]) -> None:
-        if not hasattr(dest, "write"):
-            with open(dest, "w", encoding="ascii") as fh:
-                self.write_csv(fh)
-            return
-        dest.write(STUDY_CSV_HEADER + "\n")
-        for j, (p, errs) in enumerate(zip(self.params, self.errors)):
+        rows = []
+        for p, errs, orders in self._rows():
             cells = [format_float(p)]
-            orders = self.orders[j - 1] if j >= 1 else ("", "", "")
-            for e, o in zip(errs, orders):
-                cells.append(format_float(e))
-                cells.append(format_float(o) if o != "" else "")
-            dest.write(",".join(cells) + "\n")
+            for i, e in enumerate(errs):
+                cells += [format_float(e), format_float(orders[i]) if orders else ""]
+            rows.append(cells)
+        write_csv(dest, STUDY_CSV_HEADER, rows)
 
     def format_table(self) -> str:
         label = {"temporal": "dt", "spatial": "h"}.get(self.kind, "param")
@@ -110,14 +110,11 @@ class RefinementReport:
             f"{label:>12}  {'err_a':>12} {'order_a':>8}  {'err_b':>12} "
             f"{'order_b':>8}  {'err_c':>12} {'order_c':>8}"
         ]
-        for j, (p, errs) in enumerate(zip(self.params, self.errors)):
-            orders = self.orders[j - 1] if j >= 1 else None
+        for p, errs, orders in self._rows():
             cols = [f"{p:>12.6g}"]
             for i, e in enumerate(errs):
-                cols.append(f"{e:>12.4e}")
-                cols.append(f"{orders[i]:>8.4f}" if orders else f"{'-':>8}")
-            lines.append("  ".join([cols[0], cols[1] + " " + cols[2],
-                                    cols[3] + " " + cols[4], cols[5] + " " + cols[6]]))
+                cols.append(f"{e:>12.4e} " + (f"{orders[i]:>8.4f}" if orders else f"{'-':>8}"))
+            lines.append("  ".join(cols))
         return "\n".join(lines)
 
 
@@ -220,6 +217,26 @@ def _run_many(tasks, jobs: int):
         return [f.result() for f in futures]
 
 
+def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: list,
+            meta: dict, scene: Scene, jobs: int) -> RefinementReport:
+    """Run every (grid, TimeConfig), difference the finals of each (i, j) pair.
+
+    Each pair gives one row of per-species :func:`compare_fields` differences
+    (the plain max-norm difference when the grids coincide); ``orders_of``
+    turns one species' column of differences into its orders.
+    """
+    finals = _run_many([partial(_final_state, g, tc, scene) for g, tc in runs], jobs)
+    errors = [
+        tuple(
+            compare_fields(f, g)
+            for (_, f), (_, g) in zip(finals[i].species(), finals[j].species())
+        )
+        for i, j in pairs
+    ]
+    orders = list(zip(*(orders_of([e[s] for e in errors]) for s in range(3))))
+    return RefinementReport(kind, params, errors, orders, meta)
+
+
 def temporal_order(
     dts: Sequence[float],
     ref_dt: float,
@@ -241,33 +258,12 @@ def temporal_order(
         raise ValueError(f"repeated step sizes in {dts}")
     if not ref_dt < min(dts):
         raise ValueError(f"reference dt {ref_dt!r} must be below min(dts) = {min(dts)!r}")
-    tcs = [TimeConfig(dt, t_final) for dt in (*dts, ref_dt)]
-
-    tasks = [lambda tc=tc: _final_state(grid, tc, scene) for tc in tcs]
-    *finals, ref = _run_many(tasks, jobs)
-
-    errors = []
-    for final in finals:
-        errors.append(
-            tuple(
-                norm_max(Field(grid, f.values - rf.values))
-                for (_, f), (_, rf) in zip(final.species(), ref.species())
-            )
-        )
-    per_species_orders = [
-        convergence_orders(dts, [e[i] for e in errors]) for i in range(3)
-    ]
-    orders = list(zip(*per_species_orders))
-    return RefinementReport(
-        kind="temporal",
-        params=list(dts),
-        errors=errors,
-        orders=[tuple(o) for o in orders],
-        meta={
-            "grid_n": grid.n,
-            "t_final": t_final,
-            "reference": f"same grid, dt={ref_dt!r}",
-        },
+    runs = [(grid, TimeConfig(dt, t_final)) for dt in (*dts, ref_dt)]
+    return _refine(
+        "temporal", runs, [(i, len(dts)) for i in range(len(dts))],
+        partial(convergence_orders, dts), list(dts),
+        {"grid_n": grid.n, "t_final": t_final, "reference": f"same grid, dt={ref_dt!r}"},
+        scene, jobs,
     )
 
 
@@ -296,27 +292,10 @@ def spatial_cauchy_order(
             raise ValueError(f"h = {h!r} does not tile the domain extent {extent!r}")
         grids.append(scene.grid(int(round(n))))
     dts = [dt_rule(h) for h in hs]
-    tcs = [TimeConfig(dt, t_final) for dt in dts]
-
-    tasks = [lambda g=g, tc=tc: _final_state(g, tc, scene) for g, tc in zip(grids, tcs)]
-    finals = _run_many(tasks, jobs)
-
-    diffs = []
-    for coarse, fine in zip(finals, finals[1:]):
-        diffs.append(
-            tuple(
-                compare_fields(cf, ff)
-                for (_, cf), (_, ff) in zip(coarse.species(), fine.species())
-            )
-        )
-    per_species_orders = [
-        cauchy_orders(hs, [d[i] for d in diffs]) for i in range(3)
-    ]
-    orders = list(zip(*per_species_orders))
-    return RefinementReport(
-        kind="spatial",
-        params=list(hs[1:]),
-        errors=diffs,
-        orders=[tuple(o) for o in orders],
-        meta={"t_final": t_final, "dts": dts, "resolutions": [g.n for g in grids]},
+    runs = [(g, TimeConfig(dt, t_final)) for g, dt in zip(grids, dts)]
+    return _refine(
+        "spatial", runs, [(j, j + 1) for j in range(len(hs) - 1)],
+        partial(cauchy_orders, hs), list(hs[1:]),
+        {"t_final": t_final, "dts": dts, "resolutions": [g.n for g in grids]},
+        scene, jobs,
     )

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from rxd import Field, Grid, write_field
+from rxd import Field, Grid, benchmark_scene, make_initial_condition, write_field
 from rxd.cli import (
     _section,
     apply_overrides,
+    build_scene,
     canonical_config,
     default_config,
     load_config,
@@ -376,6 +377,36 @@ def test_inspect_malformed_snapshot(tmp_path, capsys):
     path.write_text("not a snapshot\n")
     assert run_cli("inspect", str(path)) == 2
     assert "rxd-field" in capsys.readouterr().err
+
+
+def test_inspect_refuses_two_values_per_line(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text("rxd-field v1\ndim=2 n=2 lower=0,0 upper=1,1 t=0\n1 2\n3 4\n")
+    assert run_cli("inspect", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "one value per line" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("stamp", ["inf", "nan"])
+def test_snapshot_initial_time_must_be_finite(tmp_path, capsys, stamp):
+    spec = {"kind": "snapshot"}
+    for name, f in make_initial_condition(Grid.box(2, 8, -1.0, 1.0)).species():
+        path = tmp_path / f"init_{name}.txt"
+        write_field(f, path)
+        path.write_text(path.read_text().replace("t=0\n", f"t={stamp}\n", 1))
+        spec[name] = str(path)
+    code = run_cli(*fast_run_args(tmp_path, "--set", f"initial={json.dumps(spec)}"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "malformed snapshot header" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_scene_is_the_benchmark_scene():
+    scene, bench = build_scene(default_config(), False), benchmark_scene()
+    assert (scene.lower, scene.upper) == (bench.lower, bench.upper)
+    assert scene.params == bench.params and scene.coeffs == bench.coeffs
 
 
 def test_config_round_trip_idempotent(tmp_path):

@@ -16,11 +16,13 @@ from rxd import (
     make_initial_condition,
     mean_value,
     ModelParams,
+    PositivityError,
     norm_l2,
     norm_max,
     step_diffusion,
     step_diffusion_species,
 )
+from rxd import diffusion
 
 TOL = 1e-10
 
@@ -146,6 +148,29 @@ def test_step_diffusion_three_species():
     out_const, reports_const = step_diffusion(s_const, coeffs, dt=0.01)
     np.testing.assert_array_equal(out_const.b.values, 0.4)
     assert all(r.iterations == 0 for r in reports_const)
+
+
+def test_step_diffusion_refuses_a_non_positive_update(monkeypatch):
+    # The solve itself keeps positivity; force one bad cell in species b to
+    # reach the check after it.
+    solve = step_diffusion_species
+    calls = []
+
+    def one_bad_cell(f, *args):
+        u_next, report = solve(f, *args)
+        calls.append(f)
+        if len(calls) == 2:
+            values = u_next.values.copy()
+            values.flat[5] = -1e-3
+            u_next = Field(u_next.grid, values)
+        return u_next, report
+
+    monkeypatch.setattr(diffusion, "step_diffusion_species", one_bad_cell)
+    s = make_initial_condition(Grid.box(2, 8, -1.0, 1.0))
+    with pytest.raises(PositivityError) as exc_info:
+        step_diffusion(s, DiffusionCoeffs(0.05, 1.0, 0.1), dt=0.01)
+    message = str(exc_info.value)
+    assert "species b" in message and "cell 5" in message and "tighten" in message
 
 
 def test_step_diffusion_dissipates_energy():

@@ -91,3 +91,28 @@ def test_info_callbacks_read_real_outputs(tmp_path, monkeypatch):
         assert cells == n * n and 0 <= most <= total
     assert [len(step) for step in infos["step_diffusion"]] == [3] * steps
     assert all(size > 0 for size in infos["write_field"] + infos["read_field"])
+
+
+@pytest.mark.parametrize("command,entry,settings,runs", [
+    ("study-time", "temporal_order",
+     ["study_time.n=8", "study_time.dts=[0.1,0.05]", "study_time.ref_dt=0.025",
+      "study_time.t_final=0.1"], 3),
+    ("study-space", "spatial_cauchy_order",
+     ["study_space.hs=[0.5,0.25,0.125]", "study_space.t_final=0.25"], 3),
+])
+def test_study_commands_enter_through_their_traced_sites(tmp_path, monkeypatch, command,
+                                                        entry, settings, runs):
+    # study.solve_share divides the run_simulation spans under the study
+    # entry point by that entry's span, so each is looked up at call time.
+    calls = {entry: 0, "run_simulation": 0, "compare_fields": 0}
+    for owner, attr in ((cli, entry), (study, "run_simulation"), (study, "compare_fields")):
+        def counting(*args, _fn=getattr(owner, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    argv = [command, "--out", str(tmp_path)]
+    for item in settings:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    assert calls == {entry: 1, "run_simulation": runs, "compare_fields": 3 * (runs - 1)}
