@@ -350,6 +350,8 @@ def cmd_study(args) -> int:
                                     study["t_final"], scene, jobs=args.jobs)
         else:
             report = spatial_cauchy_order(study["hs"], study["t_final"], scene, jobs=args.jobs)
+    except PositivityError:
+        raise  # a solver failure, not a bad argument
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     report.write_csv(os.path.join(_out_dir(output), f"{report.kind}_orders.csv"))

@@ -13,6 +13,12 @@ iterations unless ``tol`` is below the roundoff of the FFT solve; for
 variable coefficients the iteration count stays flat as the grid is
 refined (circulant preconditioning, Strang 1986, Chan 1988).
 
+The solves of one step run in one workspace of scratch arrays: the
+stencil, the residual check and the spectral solve write into it (the FFTs
+through their ``out=`` arguments) and the solution goes straight into its
+row of the new stack.  These in-place forms keep the operation order of
+the plain array expressions, so they give the same bits as those would.
+
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
 conservation.  A violation signals a far-too-loose tolerance.
@@ -38,12 +44,37 @@ class LinearSolveReport:
     converged: bool
 
 
+class _Workspace:
+    """Scratch arrays for the solves of one diffusion step.
+
+    ``flux`` and ``tmp`` are the stencil's scratch, ``res`` holds the
+    residual and ``spec`` the rfftn spectrum of the spectral solve; the CG
+    vectors z, p and A p are allocated on first use.  One workspace serves
+    the three species of one step in turn and is dropped with it, so
+    nothing is kept across steps or shared between threads.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.flux = np.empty(shape)
+        self.tmp = np.empty(shape)
+        self.res = np.empty(shape)
+        self.spec = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+        self._cg = None
+
+    def cg_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._cg is None:
+            self._cg = tuple(np.empty(self.shape) for _ in range(3))
+        return self._cg
+
+
 class _ImplicitDiffusionOperator:
     """Matrix-free application of (I - dt div(D grad)) on one grid."""
 
-    def __init__(self, grid, d: Coefficient, dt: float):
+    def __init__(self, grid, d: Coefficient, dt: float, work: Optional[_Workspace] = None):
         self.grid = grid
         self.dt = dt
+        self.work = _Workspace(grid.shape) if work is None else work
         # Face coefficients per physical axis; floats stay floats.
         self.faces = [face_coefficient(grid, d, axis) for axis in range(grid.dim)]
         # rfftn symbol of M: 1 + dt sum_axes (4 mean(D_face) / h^2) sin^2(pi k / N).
@@ -55,25 +86,42 @@ class _ImplicitDiffusionOperator:
                 [-1 if i == array_axis else 1 for i in range(grid.dim)])
             self.symbol += dt * 4.0 * np.mean(dface) / grid.h**2 * np.sin(np.pi * k / n) ** 2
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return v - self.dt * div_grad(v, self.faces, self.grid.h)
+    def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``v - dt * div_grad(v)``, into ``out`` (allocated when None)."""
+        w = self.work
+        out = div_grad(v, self.faces, self.grid.h, out, w.flux, w.tmp)
+        np.multiply(out, self.dt, out=out)
+        return np.subtract(v, out, out=out)
 
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        """Apply M^-1, the inverse of the operator at mean face coefficients."""
+    def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``b - (x - dt * div_grad(x))``, into the workspace's ``res``."""
+        r = self.apply(x, self.work.res)
+        return np.subtract(b, r, out=r)
+
+    def precondition(self, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Apply M^-1, the inverse of the operator at mean face coefficients.
+
+        The steps of ``irfftn(rfftn(r) / symbol)``, run in the workspace's
+        spectrum with the result written into ``out`` (allocated when None).
+        """
         axes = tuple(range(r.ndim))
-        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) / self.symbol, s=r.shape, axes=axes)
+        spec = np.fft.rfftn(r, axes=axes, out=self.work.spec)
+        spec /= self.symbol
+        for axis in axes[:-1]:
+            np.fft.ifft(spec, axis=axis, out=spec)
+        return np.fft.irfft(spec, n=r.shape[-1], axis=-1, out=out)
 
 
-def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray,
-         tol: float, max_iter: int) -> tuple[np.ndarray, LinearSolveReport]:
-    """Spectrally preconditioned CG from x0 = M^-1 b; residual is relative to ||b||."""
+def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
+         tol: float, max_iter: int) -> LinearSolveReport:
+    """Spectrally preconditioned CG into ``x`` from x0 = M^-1 b; residual is relative to ||b||."""
     b_norm = float(np.linalg.norm(b.ravel()))
     if b_norm == 0.0:
-        return np.zeros_like(b), LinearSolveReport(0, 0.0, True)
-    x = op.precondition(b)
-    r = b - op.apply(x)
+        x[...] = 0.0
+        return LinearSolveReport(0, 0.0, True)
+    op.precondition(b, x)
+    r = op.residual(b, x)
     rel = float(np.linalg.norm(r.ravel())) / b_norm
-    p = None
     iterations = 0
     while rel > tol:
         if iterations >= max_iter:
@@ -83,17 +131,23 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray,
                 f"{iterations} iterations (tol {tol:.1e})",
                 report=report,
             )
-        z = op.precondition(r)
-        rz_next = float(np.sum(r * z))
-        p = z if p is None else z + (rz_next / rz) * p
+        z, p, ap = op.work.cg_vectors()
+        op.precondition(r, z)
+        # ap, then z once p holds it, serve as scratch for the products.
+        rz_next = float(np.sum(np.multiply(r, z, out=ap)))
+        if iterations == 0:
+            p[...] = z
+        else:
+            p *= rz_next / rz
+            p += z
         rz = rz_next
-        ap = op.apply(p)
-        alpha = rz / float(np.sum(p * ap))
-        x = x + alpha * p
-        r = r - alpha * ap
+        op.apply(p, ap)
+        alpha = rz / float(np.sum(np.multiply(p, ap, out=z)))
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(ap, alpha, out=z)
         rel = float(np.linalg.norm(r.ravel())) / b_norm
         iterations += 1
-    return x, LinearSolveReport(iterations, rel, True)
+    return LinearSolveReport(iterations, rel, True)
 
 
 def step_diffusion_species(
@@ -102,15 +156,22 @@ def step_diffusion_species(
     dt: float,
     tol: float = DEFAULT_TOL,
     max_iter: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
+    work: Optional[_Workspace] = None,
 ) -> tuple[Field, LinearSolveReport]:
-    """Implicit Euler update of one species: solve (I - dt div(D grad)) u = u*."""
+    """Implicit Euler update of one species: solve (I - dt div(D grad)) u = u*.
+
+    The solution is written into ``out`` (a new array when None), using the
+    scratch arrays of ``work`` (new ones when None).
+    """
     if not dt > 0.0:
         raise PositivityError(f"step_diffusion_species: dt must be positive, got {dt}")
     u_star.check_finite("u_star")
     if max_iter is None:
         max_iter = 10 * u_star.grid.num_cells
-    op = _ImplicitDiffusionOperator(u_star.grid, d, dt)
-    x, report = _pcg(op, u_star.values, tol, max_iter)
+    op = _ImplicitDiffusionOperator(u_star.grid, d, dt, work)
+    x = np.empty_like(u_star.values) if out is None else out
+    report = _pcg(op, u_star.values, x, tol, max_iter)
     return Field(u_star.grid, x), report
 
 
@@ -123,16 +184,18 @@ def step_diffusion(
 ) -> tuple[State, tuple[LinearSolveReport, LinearSolveReport, LinearSolveReport]]:
     """Advance all three species by implicit diffusion; time moves forward by dt.
 
-    The three solves are independent.  The result must be strictly positive;
-    if it is not, the linear tolerance is too loose for the data and a
-    :class:`PositivityError` is raised instead of silently clipping.
+    The three solves are independent; each writes its row of the new stack
+    and all three share one workspace.  The result must be strictly
+    positive; if it is not, the linear tolerance is too loose for the data
+    and a :class:`PositivityError` is raised instead of silently clipping.
     """
     state_star.require_positive("step_diffusion input")
     u = np.empty_like(state_star.u)
+    work = _Workspace(state_star.grid.shape)
     reports = []
     for (_, f), d, row in zip(state_star.species(), coeffs.per_species(), u):
-        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter)
-        row[...] = u_next.values
+        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter, row, work)
+        row[...] = u_next.values  # no copy when the solve wrote into row
         reports.append(report)
     state = State.from_stack(state_star.grid, u, state_star.time + dt)
     state.require_positive("diffusion update (tighten the linear solver tolerance)")

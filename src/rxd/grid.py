@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -355,22 +355,41 @@ def face_coefficient(grid: Grid, d: Coefficient, axis: int) -> Union[float, np.n
     return vals
 
 
-def div_grad(v: np.ndarray, faces, h: float) -> np.ndarray:
+def div_grad(v: np.ndarray, faces, h: float, out: Optional[np.ndarray] = None,
+             flux: Optional[np.ndarray] = None, tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """The divergence-form operator div(D grad v) with periodic wrap.
 
     ``faces[axis]`` holds the coefficient on the faces normal to physical
     axis ``axis`` (see :func:`face_coefficient`; a float is a constant) and
     ``h`` is the cell spacing.  Along each axis the face flux between cells
     i and i+1 is ``D_face * (v[i+1] - v[i]) / h``; the cell value is the net
-    outflow divided by h, summed over axes.  The stencil is the standard
-    centered second-order one; constants are in its kernel and its column
-    sums vanish by telescoping.
+    outflow ``(flux[i] - flux[i-1]) / h``, summed over axes.  The stencil is
+    the standard centered second-order one; constants are in its kernel and
+    its column sums vanish by telescoping.
+
+    The result goes into ``out``; ``flux`` (and, in 2D and 3D, ``tmp``) are
+    scratch arrays of v's shape.  Any of them left as None is allocated; the
+    result does not depend on what the buffers held.
     """
-    out = np.zeros_like(v)
+    out = np.empty_like(v) if out is None else out
+    flux = np.empty_like(v) if flux is None else flux
+    if tmp is None and len(faces) > 1:
+        tmp = np.empty_like(v)
     for axis, dface in enumerate(faces):
+        # The array axis of this physical axis, moved last: [..., i] is cell i.
         array_axis = v.ndim - 1 - axis
-        flux = dface * (np.roll(v, -1, axis=array_axis) - v) / h
-        out += (flux - np.roll(flux, 1, axis=array_axis)) / h
+        vi, fi = np.moveaxis(v, array_axis, -1), np.moveaxis(flux, array_axis, -1)
+        np.subtract(vi[..., 1:], vi[..., :-1], out=fi[..., :-1])
+        np.subtract(vi[..., :1], vi[..., -1:], out=fi[..., -1:])
+        np.multiply(dface, flux, out=flux)
+        np.divide(flux, h, out=flux)
+        dest = out if axis == 0 else tmp
+        di = np.moveaxis(dest, array_axis, -1)
+        np.subtract(fi[..., 1:], fi[..., :-1], out=di[..., 1:])
+        np.subtract(fi[..., :1], fi[..., -1:], out=di[..., :1])
+        np.divide(dest, h, out=dest)
+        if axis > 0:
+            np.add(out, tmp, out=out)
     return out
 
 

@@ -2,7 +2,8 @@
 
 Everything here is written from the defining formulas, deliberately not
 reusing the production code paths it is used to check: a brute-force stencil
-for the diffusion operator, bisection on the reaction trajectory equation,
+and an ``np.roll`` stencil for the diffusion operator, conjugate gradients
+with a new array per vector, bisection on the reaction trajectory equation,
 and an RK4 integrator for the reaction-only ODE.
 """
 
@@ -25,6 +26,54 @@ def stencil_laplacian_1d(values: np.ndarray, h: float, d_face) -> np.ndarray:
         left = d_face[i - 1] * (values[i] - values[(i - 1) % n]) / h
         out[i] = (right - left) / h
     return out
+
+
+def roll_div_grad(v: np.ndarray, faces, h: float) -> np.ndarray:
+    """div(D grad v) with ``np.roll`` copies, periodic wrap, any dimension.
+
+    ``faces[axis]`` is the coefficient on the faces normal to physical axis
+    ``axis`` (the x index varies along the last array axis).  Written in the
+    same operation order as the production stencil, so the two agree
+    bitwise: flux = D * (v[i+1] - v[i]) / h, then (flux[i] - flux[i-1]) / h,
+    summed over axes starting from zero.
+    """
+    out = np.zeros_like(v)
+    for axis, dface in enumerate(faces):
+        array_axis = v.ndim - 1 - axis
+        flux = dface * (np.roll(v, -1, axis=array_axis) - v) / h
+        out += (flux - np.roll(flux, 1, axis=array_axis)) / h
+    return out
+
+
+def implicit_residual(b: np.ndarray, x: np.ndarray, faces, h: float, dt: float) -> np.ndarray:
+    """b - (x - dt div(D grad x)), the implicit Euler residual, via :func:`roll_div_grad`."""
+    return b - (x - dt * roll_div_grad(x, faces, h))
+
+
+def pcg(apply, precondition, b: np.ndarray, tol: float):
+    """Preconditioned CG from x0 = M^-1 b with a new array for every vector.
+
+    ``apply`` and ``precondition`` map an array to a new array.  Returns
+    (x, iterations, relative residual).
+    """
+    b_norm = float(np.linalg.norm(b.ravel()))
+    x = precondition(b)
+    r = b - apply(x)
+    rel = float(np.linalg.norm(r.ravel())) / b_norm
+    p = None
+    iterations = 0
+    while rel > tol:
+        z = precondition(r)
+        rz_next = float(np.sum(r * z))
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
+        ap = apply(p)
+        alpha = rz / float(np.sum(p * ap))
+        x = x + alpha * p
+        r = r - alpha * ap
+        rel = float(np.linalg.norm(r.ravel())) / b_norm
+        iterations += 1
+    return x, iterations, rel
 
 
 def trajectory_residual(r, a, b, c, dt, a_inf=1.0, b_inf=1.0, c_inf=1.0):

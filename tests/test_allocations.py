@@ -1,0 +1,48 @@
+"""Allocation budget of one split step, in multiples of one field's size.
+
+Both stages are memory-bound passes over the grid, so every field-sized
+temporary costs a pass over fresh memory.  The traced peak of each stage
+(at N = 256, after a warm-up call) must stay within a fixed number of field
+sizes; the inputs, outputs and scratch arrays each stage needs fit within it.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rxd import DiffusionCoeffs, Grid, ModelParams, make_initial_condition
+from rxd import step_diffusion, step_reaction
+
+N = 256
+DT = 0.01
+
+
+def _peak_in_fields(fn) -> float:
+    fn()  # warm-up: first-call caches are not part of the budget
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (N * N * np.dtype(float).itemsize)
+
+
+@pytest.fixture(scope="module")
+def state():
+    return make_initial_condition(Grid.box(2, N, -1.0, 1.0))
+
+
+def test_reaction_stage_peak(state):
+    # the output stack (3), R (1) and the per-cell iteration counts (1)
+    peak = _peak_in_fields(lambda: step_reaction(state, DT, ModelParams(1.0, 1.0, 1.0)))
+    assert peak <= 6.0, peak
+
+
+def test_diffusion_stage_peak(state):
+    # the output stack (3), the workspace (3 arrays and a half-size complex
+    # spectrum, ~4), the preconditioner's symbol (1/2) and finiteness masks
+    coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
+    peak = _peak_in_fields(lambda: step_diffusion(state, coeffs, DT))
+    assert peak <= 9.0, peak

@@ -314,6 +314,34 @@ def test_study_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,settings", [
+    ("run", ["grid.n=8", "time.dt=0.1", "time.t_final=0.2"]),
+    ("study-time", ["study_time.n=8", "study_time.dts=[0.1,0.05]", "study_time.ref_dt=0.025",
+                    "study_time.t_final=0.1"]),
+    ("study-space", ["study_space.hs=[0.5,0.25,0.125]", "study_space.t_final=0.25"]),
+])
+def test_positivity_failure_is_a_solver_failure(tmp_path, monkeypatch, capsys, command, settings):
+    # A PositivityError is a ValueError; a study must not report it as a
+    # config error (exit 2) when run reports it as a solver failure (exit 3).
+    from rxd import diffusion
+
+    solve = diffusion.step_diffusion_species
+
+    def one_negative_cell(f, *args):
+        u_next, report = solve(f, *args)
+        values = u_next.values.copy()
+        values.flat[0] = -1e-3
+        return Field(u_next.grid, values), report
+
+    monkeypatch.setattr(diffusion, "step_diffusion_species", one_negative_cell)
+    argv = [command, "--out", str(tmp_path / "out")]
+    for item in settings:
+        argv += ["--set", item]
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and "non-positive" in err
+
+
 def test_run_has_no_jobs_option(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(*fast_run_args(tmp_path, "--jobs", "1"))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import stencil_laplacian_1d
+from oracles import implicit_residual, pcg, roll_div_grad, stencil_laplacian_1d
 from rxd import (
     ConvergenceError,
     DiffusionCoeffs,
@@ -23,6 +23,7 @@ from rxd import (
     step_diffusion_species,
 )
 from rxd import diffusion
+from rxd.grid import div_grad
 
 TOL = 1e-10
 
@@ -240,6 +241,55 @@ def test_solution_satisfies_implicit_equation_against_oracle(dim, n, kind, dt):
     assert report.converged
     assert out.values.min() > 0.0
     assert abs(mean_value(out) - mean_value(u)) <= 1e-12 * mean_value(u)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["float", "callable", "field"])
+def test_stencil_and_residual_match_roll_reference_bitwise(dim, n, kind):
+    # The in-place stencil keeps the roll form's operation order, so both it
+    # and the implicit residual must agree to the bit, whatever the caller's
+    # buffers held; half the cells sit near 1e-12.
+    g = Grid.box(dim, n)
+    rng = np.random.default_rng(40 + 10 * dim + n)
+    tiny = rng.uniform(size=(2, *g.shape)) < 0.5
+    b, x = np.where(tiny, 1e-12 * rng.uniform(0.5, 2.0, (2, *g.shape)),
+                    rng.uniform(0.2, 1.2, (2, *g.shape)))
+    d = _coefficient(kind, g)
+    faces = [face_coefficient(g, d, axis) for axis in range(dim)]
+    expected = _bits(roll_div_grad(x, faces, g.h))
+    np.testing.assert_array_equal(_bits(div_grad(x, faces, g.h)), expected)
+    out, flux, tmp = (np.full(g.shape, np.nan) for _ in range(3))
+    assert div_grad(x, faces, g.h, out, flux, tmp) is out
+    np.testing.assert_array_equal(_bits(out), expected)
+    for dt in (1e-6, 1e-2, 10.0):
+        op = diffusion._ImplicitDiffusionOperator(g, d, dt)
+        op.work.res[...] = np.nan
+        np.testing.assert_array_equal(
+            _bits(op.residual(b, x)), _bits(implicit_residual(b, x, faces, g.h, dt)))
+        axes = tuple(range(dim))
+        spectral = np.fft.irfftn(np.fft.rfftn(b, axes=axes) / op.symbol, s=b.shape, axes=axes)
+        np.testing.assert_array_equal(_bits(op.precondition(b)), _bits(spectral))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 24), (3, 7)])
+def test_in_place_cg_matches_allocating_reference_bitwise(dim, n):
+    # Variable D, so CG iterates; the in-place loop keeps every operation
+    # of the allocating one.
+    g = Grid.box(dim, n)
+    rng = np.random.default_rng(41)
+    b = rng.uniform(0.2, 1.2, g.shape)
+    d = lambda x, *rest: 1.0 + 0.9 * np.cos(2.0 * np.pi * x)  # noqa: E731
+    out, report = step_diffusion_species(Field(g, b), d, dt=0.1, tol=1e-12)
+    op = diffusion._ImplicitDiffusionOperator(g, d, 0.1)
+    x, iterations, rel = pcg(op.apply, op.precondition, b, 1e-12)
+    assert report.iterations == iterations > 0
+    assert report.final_relative_residual == rel
+    np.testing.assert_array_equal(_bits(out.values), _bits(x))
 
 
 def _cosine_iterations(n: int, amplitude: float) -> int:

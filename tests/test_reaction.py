@@ -19,7 +19,8 @@ from rxd import (
     step_diffusion,
     step_reaction,
 )
-from rxd.reaction import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_field
+from rxd import reaction
+from rxd.reaction import BLOCK, DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_field
 from oracles import bisect_reaction, rk4_reaction, trajectory_residual
 
 P_UNIT = ModelParams(1.0, 1.0, 1.0)
@@ -142,6 +143,50 @@ def test_large_dt_inputs_converge():
     r, _, max_residual = _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert max_residual <= DEFAULT_TOL
     assert np.all(a - r > 0.0) and np.all(b - r > 0.0) and np.all(c + r > 0.0)
+
+
+def _mixed_cells(shape, seed):
+    # Log-uniform cells with c = 1e-300 and c = 1e-12 cells mixed in, some
+    # all-1e-12 cells that need the Newton loop, and dt up to 100.
+    rng = np.random.default_rng(seed)
+    a, b, c = np.exp(rng.uniform(np.log(1e-4), np.log(10.0), (3, *shape)))
+    dt = np.exp(rng.uniform(np.log(1e-3), np.log(100.0), shape))
+    for v in (a, b, c, dt):
+        v.flat[7::101] = 1e-12
+    c.flat[::97] = 1e-300
+    c.flat[5::89] = 1e-12
+    return a, b, c, dt
+
+
+@pytest.mark.parametrize("shape", [(BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 7,),
+                                   (129, 129)])
+@pytest.mark.parametrize("per_cell_dt", [True, False])
+def test_blocked_solve_matches_one_block(monkeypatch, shape, per_cell_dt):
+    a, b, c, dt = _mixed_cells(shape, seed=sum(shape))
+    if not per_cell_dt:
+        dt = 2.0
+    params = ModelParams(1.0, 1.0, 1.0, 2.0, 2.0)  # k- dt > 1 wherever dt > 1/2
+    blocked = _solve_field(a, b, c, dt, params, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    monkeypatch.setattr(reaction, "BLOCK", a.size)
+    whole = _solve_field(a, b, c, dt, params, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert blocked[0].shape == blocked[1].shape == shape
+    np.testing.assert_array_equal(blocked[0].view(np.uint64), whole[0].view(np.uint64))
+    np.testing.assert_array_equal(blocked[1], whole[1])
+    assert blocked[2] == whole[2]
+    assert blocked[1].max() > 0  # the Newton loop ran in some block
+    r = blocked[0]
+    assert np.all(a - r > 0.0) and np.all(b - r > 0.0) and np.all(c + r > 0.0)
+
+
+def test_stall_in_a_later_block_names_its_global_cell():
+    size = 2 * BLOCK + 7
+    a, b, c, dt = (np.full(size, v) for v in (0.5, 0.7, 0.3, 0.01))
+    cell = BLOCK + 5
+    a[cell], b[cell], c[cell], dt[cell] = 1e-12, 2e-12, 3e-12, 4e-12  # needs 6 iterations
+    with pytest.raises(ConvergenceError) as exc_info:
+        _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, max_iter=1)
+    message = str(exc_info.value)
+    assert f"at cell {cell}: a=1e-12 b=2e-12 c=3e-12 dt=4e-12 residual" in message
 
 
 def _benchmark_scene(n):
