@@ -24,7 +24,7 @@ from .grid import (
     norm_l2,
     norm_max,
 )
-from .reaction import ReactionSolveResult, solve_reaction_cell, step_reaction
+from .reaction import solve_reaction_cell, step_reaction
 from .snapshots import read_field, write_field
 from .splitting import (
     DiagnosticsRow,
@@ -58,7 +58,6 @@ __all__ = [
     "LinearSolveReport",
     "ModelParams",
     "PositivityError",
-    "ReactionSolveResult",
     "RefinementReport",
     "Scene",
     "SolverOptions",

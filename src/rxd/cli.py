@@ -108,17 +108,20 @@ def _coefficient(spec) -> Coefficient:
 
 # Every config key as section -> key -> (default, parser).  default_config()
 # is built from it and _section() parses with it.  The domain, model and
-# diffusion defaults are those of the benchmark scene.  The ``initial`` keys
-# other than ``kind`` depend on the kind and have no defaults.
+# diffusion defaults are those of the benchmark scene, the solver defaults
+# those of SolverOptions.  The ``initial`` keys other than ``kind`` depend on
+# the kind and have no defaults.
 _SCENE = benchmark_scene()
+_SOLVER = SolverOptions()
 _CONFIG = {
     "grid": {"dim": (_SCENE.dim, _integer), "n": (64, _integer),
              "lower": (list(_SCENE.lower), _numbers), "upper": (list(_SCENE.upper), _numbers)},
     "model": {key: (value, _number) for key, value in asdict(_SCENE.params).items()},
     "diffusion": {key: (value, _coefficient) for key, value in asdict(_SCENE.coeffs).items()},
     "time": {"dt": (0.01, _number), "t_final": (0.2, _number)},
-    "solver": {"reaction_tol": (1e-12, _number), "cg_tol": (1e-10, _number),
-               "cg_max_iter": (None, lambda v: None if v is None else _integer(v))},
+    "solver": {"reaction_tol": (_SOLVER.reaction_tol, _number),
+               "cg_tol": (_SOLVER.cg_tol, _number),
+               "cg_max_iter": (_SOLVER.cg_max_iter, lambda v: None if v is None else _integer(v))},
     "output": {"out_dir": ("out", _string), "diagnostics_every": (1, _count),
                "snapshot_every": (0, _count), "checked": (True, _bool)},
     "initial": {"kind": ("paper-2d", _string)},

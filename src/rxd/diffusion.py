@@ -166,7 +166,9 @@ def step_diffusion_species(
     """
     if not dt > 0.0:
         raise PositivityError(f"step_diffusion_species: dt must be positive, got {dt}")
-    u_star.check_finite("u_star")
+    if not np.all(np.isfinite(u_star.values)):
+        bad = int(np.flatnonzero(~np.isfinite(u_star.values.ravel()))[0])
+        raise ValueError(f"u_star has a non-finite value at cell {bad}")
     if max_iter is None:
         max_iter = 10 * u_star.grid.num_cells
     op = _ImplicitDiffusionOperator(u_star.grid, d, dt, work)
@@ -193,7 +195,7 @@ def step_diffusion(
     u = np.empty_like(state_star.u)
     work = _Workspace(state_star.grid.shape)
     reports = []
-    for (_, f), d, row in zip(state_star.species(), coeffs.per_species(), u):
+    for (_, f), d, row in zip(state_star.species(), (coeffs.d_a, coeffs.d_b, coeffs.d_c), u):
         u_next, report = step_diffusion_species(f, d, dt, tol, max_iter, row, work)
         row[...] = u_next.values  # no copy when the solve wrote into row
         reports.append(report)

@@ -97,30 +97,16 @@ class Grid:
         """Cell-center coordinates along physical axis (0 = x)."""
         return self.lower[axis] + (np.arange(self.n) + 0.5) * self.h
 
-    def mesh(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays (X, Y, Z)[:dim], each of shape ``self.shape``.
+    def mesh(self, face_axis: Optional[int] = None) -> tuple[np.ndarray, ...]:
+        """Coordinate arrays (X, Y, Z)[:dim] of cell centers, each of shape ``self.shape``.
 
-        The x coordinate varies along the last array axis so that a C-order
-        flatten enumerates cells with x fastest.
+        Along physical axis ``face_axis`` (when given) entry i is instead the
+        face ``lower + (i + 1) h`` between cell i and its periodic successor.
+        x varies along the last array axis (a C-order flatten has x fastest).
         """
-        axes = [self.centers(p) for p in range(self.dim)]
+        axes = [self.lower[p] + (np.arange(self.n) + (1.0 if p == face_axis else 0.5)) * self.h
+                for p in range(self.dim)]
         grids = np.meshgrid(*axes[::-1], indexing="ij")
-        return tuple(grids[::-1])
-
-    def face_mesh(self, axis: int) -> tuple[np.ndarray, ...]:
-        """Coordinates of the faces between cells i and i+1 along one physical axis.
-
-        Face i sits at ``lower + (i + 1) h`` along ``axis`` (the face between
-        cell i and its periodic successor) and at cell centers along the
-        other axes.  Shapes match ``self.shape``.
-        """
-        coords = []
-        for p in range(self.dim):
-            if p == axis:
-                coords.append(self.lower[p] + (np.arange(self.n) + 1.0) * self.h)
-            else:
-                coords.append(self.centers(p))
-        grids = np.meshgrid(*coords[::-1], indexing="ij")
         return tuple(grids[::-1])
 
     def same_domain(self, other: Grid) -> bool:
@@ -163,14 +149,6 @@ class Field:
         """Sample ``fn(x[, y[, z]])`` at cell centers (vectorized over ndarrays)."""
         return cls(grid, np.asarray(fn(*grid.mesh()), dtype=float))
 
-    def copy(self) -> Field:
-        return Field(self.grid, self.values.copy())
-
-    def check_finite(self, label: str = "field") -> None:
-        if not np.all(np.isfinite(self.values)):
-            bad = int(np.flatnonzero(~np.isfinite(self.values.ravel()))[0])
-            raise ValueError(f"{label} has a non-finite value at cell {bad}")
-
 
 # A diffusion coefficient: a positive constant, a positive function of
 # position (sampled analytically at face centers), or a cellwise Field
@@ -190,9 +168,6 @@ class DiffusionCoeffs:
         for name, d in zip(("d_a", "d_b", "d_c"), (self.d_a, self.d_b, self.d_c)):
             if isinstance(d, (int, float)) and not d > 0.0:
                 raise PositivityError(f"{name} must be positive, got {d}")
-
-    def per_species(self) -> tuple[Coefficient, Coefficient, Coefficient]:
-        return (self.d_a, self.d_b, self.d_c)
 
 
 @dataclass(frozen=True)
@@ -281,14 +256,10 @@ class State:
                 )
 
 
-def _require_same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-
-
 def inner_product(f: Field, g: Field) -> float:
     """Discrete L2 inner product: h^dim * sum of f*g over all cells."""
-    _require_same_grid(f, g)
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
     return float(f.grid.cell_volume * np.sum(f.values * g.values))
 
 
@@ -346,7 +317,7 @@ def face_coefficient(grid: Grid, d: Coefficient, axis: int) -> Union[float, np.n
             raise ValueError("cellwise diffusion coefficient lives on a different grid")
         vals = 0.5 * (d.values + np.roll(d.values, -1, axis=array_axis))
     else:
-        vals = np.asarray(d(*grid.face_mesh(axis)), dtype=float)
+        vals = np.asarray(d(*grid.mesh(face_axis=axis)), dtype=float)
         vals = np.broadcast_to(vals, grid.shape)
     if not np.all(vals > 0.0):
         raise PositivityError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import nullcontext
+from itertools import islice
 from typing import Iterable, TextIO, Union
 
 import numpy as np
@@ -27,9 +28,11 @@ import numpy as np
 from .grid import Field, Grid
 
 MAGIC = "rxd-field v1"
+_HEADER_KEYS = ("dim", "n", "lower", "upper", "t")
 
 # Values formatted per numpy pass; bounds the byte matrices to ~160 kB each.
 _CHUNK = 4096
+_READ_LINES = 1024  # value lines parsed per numpy pass, ~70 kB of strings
 
 # A double times 10^p is exactly a Dekker pair (product + error) when 10^p
 # is itself an exact double, which holds for p <= 22.
@@ -172,35 +175,48 @@ def _format_lines(x: np.ndarray) -> str:
 
 
 def read_field(src: Union[str, os.PathLike, TextIO]) -> tuple[Field, float]:
-    """Read a snapshot, returning the field and the recorded time stamp."""
+    """Read a snapshot, returning the field and the recorded time stamp.
+
+    The header holds each of dim, n, lower, upper and t once, t finite, and
+    each of the N^dim value lines one finite number: blank lines, comments
+    and anything else are refused with the file name and 1-based line.
+    """
     name = "<stream>" if hasattr(src, "read") else os.fspath(src)
     with _opened(src, "r") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != MAGIC:
-            raise ValueError(f"{name}: not a {MAGIC!r} snapshot (first line {magic!r})")
+            raise ValueError(f"{name}:1: not a {MAGIC!r} snapshot (first line {magic!r})")
         header = fh.readline().rstrip("\n")
-        fields = {}
-        for token in header.split():
-            key, _, value = token.partition("=")
-            fields[key] = value
+        pairs = [token.partition("=")[::2] for token in header.split()]
+        fields = dict(pairs)
         try:
-            dim = int(fields["dim"])
-            n = int(fields["n"])
+            if sorted(key for key, _ in pairs) != sorted(_HEADER_KEYS):
+                raise ValueError(f"needs the keys {' '.join(_HEADER_KEYS)} once each")
             lower = tuple(float(x) for x in fields["lower"].split(","))
             upper = tuple(float(x) for x in fields["upper"].split(","))
+            grid = Grid(int(fields["dim"]), int(fields["n"]), lower, upper)
             time = float(fields["t"])
             if not math.isfinite(time):
                 raise ValueError("non-finite time stamp")
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{name}: malformed snapshot header {header!r}") from exc
-        grid = Grid(dim, n, lower, upper)
-        values = np.loadtxt(fh, dtype=float, ndmin=2)
-    if values.shape[1] != 1:
-        raise ValueError(f"{name}: expected one value per line, found {values.shape[1]}")
+        except ValueError as exc:
+            raise ValueError(f"{name}:2: malformed snapshot header {header!r} ({exc})") from None
+        chunks = []
+        while lines := list(islice(fh, _READ_LINES)):
+            try:
+                chunks.append(np.array(lines, dtype=float))
+            except ValueError:
+                for lineno, line in enumerate(lines, start=3 + sum(map(len, chunks))):
+                    try:
+                        float(line)
+                    except ValueError:
+                        raise ValueError(f"{name}:{lineno}: expected one value per line, "
+                                         f"found {line.rstrip()!r}") from None
+                raise
+    values = np.concatenate([np.empty(0), *chunks])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name}:{bad[0] + 3}: non-finite value {float(values[bad[0]])!r}")
     if values.size != grid.num_cells:
-        raise ValueError(
-            f"{name}: expected {grid.num_cells} values, found {values.size}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name}: snapshot contains non-finite values")
+        raise ValueError(f"{name}:{min(values.size, grid.num_cells) + 3}: expected "
+                         f"{grid.num_cells} values, found {values.size}")
     return Field(grid, values), time

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, TextIO, Union
 
 import numpy as np
 
+from . import diffusion, reaction
 from .diffusion import step_diffusion
 from .grid import (
     DiffusionCoeffs,
@@ -66,16 +67,16 @@ class TimeConfig:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and safety switches shared by the two stages.
+    """What a config's ``solver`` section and ``--checked`` set for the two stages.
 
-    ``checked`` turns on per-step verification of positivity, energy
-    dissipation and mass conservation (one extra pass per step; disable for
-    production-sized runs).
+    Tolerances default to the stage modules' ``DEFAULT_TOL``, and
+    ``cg_max_iter`` None is 10 times the cell count.  ``checked`` turns on
+    per-step checks of positivity, energy dissipation and mass conservation
+    (one extra pass per step; disable for production-sized runs).
     """
 
-    reaction_tol: float = 1e-12
-    reaction_max_iter: int = 100
-    cg_tol: float = 1e-10
+    reaction_tol: float = reaction.DEFAULT_TOL
+    cg_tol: float = diffusion.DEFAULT_TOL
     cg_max_iter: Optional[int] = None
     checked: bool = True
 
@@ -84,10 +85,8 @@ class SolverOptions:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("reaction_max_iter", "cg_max_iter"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ValueError(f"cg_max_iter must be at least 1, got {self.cg_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,15 @@ class DiagnosticsRow:
     cg_iters_c: int
 
 
-DIAGNOSTICS_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
+_DIAGNOSTICS_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
+DIAGNOSTICS_HEADER = ",".join(_DIAGNOSTICS_FIELDS)
 
 
 def write_diagnostics_csv(rows, dest: Union[str, os.PathLike, TextIO]) -> None:
     """Integers as written, floats at 17 significant digits, in field order."""
-    cells = ([str(v) if isinstance(v, int) else format_float(v) for v in astuple(row)]
+    # getattr per field: dataclasses.astuple would deep-copy every value.
+    cells = ([str(v) if isinstance(v, int) else format_float(v)
+              for v in (getattr(row, name) for name in _DIAGNOSTICS_FIELDS)]
              for row in rows)
     write_csv(dest, DIAGNOSTICS_HEADER, cells)
 
@@ -154,9 +156,7 @@ def full_step(
     """
     checked = options.checked
     energy_before = discrete_energy(state, params) if checked else None
-    star, reaction = step_reaction(
-        state, dt, params, tol=options.reaction_tol, max_iter=options.reaction_max_iter
-    )
+    star, solve = step_reaction(state, dt, params, tol=options.reaction_tol)
     energy_star = discrete_energy(star, params) if checked else None
     next_state, reports = step_diffusion(
         star, coeffs, dt, tol=options.cg_tol, max_iter=options.cg_max_iter
@@ -167,7 +167,7 @@ def full_step(
             next_state,
             params,
             step=0,
-            reaction_residual=reaction.max_residual,
+            reaction_residual=solve.max_residual,
             cg_iters=tuple(r.iterations for r in reports),
         )
     if checked:
@@ -191,7 +191,6 @@ def run_simulation(
     options: SolverOptions = SolverOptions(),
     diagnostics_every: int = 1,
     snapshot_every: int = 0,
-    on_row: Optional[Callable[[DiagnosticsRow], None]] = None,
     on_snapshot: Optional[Callable[[int, State], None]] = None,
 ) -> tuple[State, list[DiagnosticsRow]]:
     """Run ``tc.steps`` full steps from ``initial``.
@@ -204,18 +203,12 @@ def run_simulation(
     """
     initial.require_positive("run_simulation initial state")
     rows: list[DiagnosticsRow] = []
-
-    def record(row: DiagnosticsRow) -> None:
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-
     mass_ac0 = mass_bc0 = None
     if diagnostics_every > 0 or options.checked:
         first = _state_row(initial, params, step=0)
         mass_ac0, mass_bc0 = first.mass_ac, first.mass_bc
         if diagnostics_every > 0:
-            record(first)
+            rows.append(first)
     if snapshot_every > 0 and on_snapshot is not None:
         on_snapshot(0, initial)
 
@@ -240,7 +233,7 @@ def run_simulation(
                             f"{ref!r} -> {now!r}"
                         )
         if want_row:
-            record(row)
+            rows.append(row)
         if snapshot_every > 0 and on_snapshot is not None and k % snapshot_every == 0:
             on_snapshot(k, state)
     return state, rows

@@ -20,7 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import Callable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class Scene:
         return Grid(self.dim, n, self.lower, self.upper)
 
 
-def benchmark_scene(options: Optional[SolverOptions] = None) -> Scene:
+def benchmark_scene() -> Scene:
     """The benchmark scene: disk/complement/dips initial data on (-1,1)^2, D = (0.05, 1, 0.1)."""
     return Scene(
         lower=(-1.0, -1.0),
@@ -63,7 +63,6 @@ def benchmark_scene(options: Optional[SolverOptions] = None) -> Scene:
         params=ModelParams(1.0, 1.0, 1.0),
         coeffs=DiffusionCoeffs(0.05, 1.0, 0.1),
         initial=make_initial_condition,
-        options=options if options is not None else SolverOptions(checked=False),
     )
 
 
@@ -208,15 +207,6 @@ def _final_state(grid: Grid, tc: TimeConfig, scene: Scene) -> State:
     return final
 
 
-def _run_many(tasks, jobs: int):
-    """Run () -> State closures, preserving order; threads when jobs > 1."""
-    if jobs <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: list,
             meta: dict, scene: Scene, jobs: int) -> RefinementReport:
     """Run every (grid, TimeConfig), difference the finals of each (i, j) pair.
@@ -225,7 +215,12 @@ def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: lis
     (the plain max-norm difference when the grids coincide); ``orders_of``
     turns one species' column of differences into its orders.
     """
-    finals = _run_many([partial(_final_state, g, tc, scene) for g, tc in runs], jobs)
+    tasks = [partial(_final_state, g, tc, scene) for g, tc in runs]
+    if jobs <= 1:
+        finals = [task() for task in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            finals = [f.result() for f in [pool.submit(task) for task in tasks]]
     errors = [
         tuple(
             compare_fields(f, g)
@@ -271,13 +266,13 @@ def spatial_cauchy_order(
     hs: Sequence[float],
     t_final: float,
     scene: Scene,
-    dt_rule: Callable[[float], float] = lambda h: h * h,
     jobs: int = 1,
 ) -> RefinementReport:
-    """Cauchy refinement study over decreasing mesh sizes, dt = dt_rule(h).
+    """Cauchy refinement study over decreasing mesh sizes, with dt = h^2.
 
-    Consecutive solutions are compared at the coarser grid's cell centers;
-    rows carry the finer h of each pair and the A*-adjusted orders.
+    The scheme's error is O(dt + h^2), so the time error stays of the order of
+    the spatial one.  Consecutive solutions are compared at the coarser grid's
+    cell centers; rows carry the finer h of each pair and the A*-adjusted orders.
     """
     hs = sorted((float(h) for h in hs), reverse=True)
     if len(hs) < 3:
@@ -291,7 +286,7 @@ def spatial_cauchy_order(
         if abs(n - round(n)) > 1e-9 * n:
             raise ValueError(f"h = {h!r} does not tile the domain extent {extent!r}")
         grids.append(scene.grid(int(round(n))))
-    dts = [dt_rule(h) for h in hs]
+    dts = [h * h for h in hs]
     runs = [(g, TimeConfig(dt, t_final)) for g, dt in zip(grids, dts)]
     return _refine(
         "spatial", runs, [(j, j + 1) for j in range(len(hs) - 1)],

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, file outputs, overrides, reproducibility."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -416,6 +417,31 @@ def test_inspect_refuses_two_values_per_line(tmp_path, capsys):
     assert "one value per line" in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
+_HEADER = "dim=1 n=2 lower=0 upper=1 t=0"
+
+
+@pytest.mark.parametrize("text,line", [
+    (f"{_HEADER}\n1.0\n\n2.0\n", 4),  # blank line between values
+    (f"{_HEADER}\n1.0 # c\n2.0\n", 3),  # trailing comment
+    (f"{_HEADER}\n# c\n1.0\n2.0\n", 3),  # comment line
+    (f"{_HEADER} t=5\n1.0\n2.0\n", 2),  # duplicate key
+    (f"{_HEADER}\n", 3),  # header only
+    (f"{_HEADER}\nabc\n2.0\n", 3),  # bad token
+    (f"{_HEADER} foo=1\n1.0\n2.0\n", 2),  # unknown key
+], ids=["blank-line", "trailing-comment", "comment-line", "duplicate-key", "header-only",
+        "bad-token", "unknown-key"])
+def test_inspect_refuses_malformed_snapshots(tmp_path, capsys, text, line):
+    path = tmp_path / "snap.txt"
+    path.write_text("rxd-field v1\n" + text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("inspect", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert f"{path}:{line}: " in captured.err
+
+
 @pytest.mark.parametrize("stamp", ["inf", "nan"])
 def test_snapshot_initial_time_must_be_finite(tmp_path, capsys, stamp):
     spec = {"kind": "snapshot"}
@@ -435,6 +461,27 @@ def test_default_scene_is_the_benchmark_scene():
     scene, bench = build_scene(default_config(), False), benchmark_scene()
     assert (scene.lower, scene.upper) == (bench.lower, bench.upper)
     assert scene.params == bench.params and scene.coeffs == bench.coeffs
+
+
+def _leaves(node, path=()):
+    """(path, value) for every scalar of a JSON-like tree, dict keys sorted."""
+    if isinstance(node, dict):
+        return [leaf for key in sorted(node) for leaf in _leaves(node[key], (*path, key))]
+    if isinstance(node, list):
+        return [leaf for i, v in enumerate(node) for leaf in _leaves(v, (*path, i))]
+    return [(path, node)]
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    documented, defaults = _leaves(json.loads(block)), _leaves(default_config())
+    assert [path for path, _ in documented] == [path for path, _ in defaults]
+    for (path, value), (_, default) in zip(documented, defaults):
+        if isinstance(default, float):
+            assert value == pytest.approx(default, rel=1e-12), path
+        else:
+            assert value == default and type(value) is type(default), path
 
 
 def test_config_round_trip_idempotent(tmp_path):

@@ -56,6 +56,27 @@ def test_mesh_axis_convention():
     np.testing.assert_allclose(y[:, 0], [10.5, 11.5, 12.5])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mesh_face_axis_is_bitwise_faces_there_and_centers_elsewhere(dim):
+    n, h = 7, 0.3
+    lower = (-1.3, 0.2, 5.0)[:dim]
+    g = Grid(dim, n, lower, tuple(x + n * h for x in lower))
+    for face_axis in (None, *range(dim)):
+        coords = g.mesh(face_axis=face_axis)
+        assert len(coords) == dim
+        for p, coord in enumerate(coords):
+            offset = 1.0 if p == face_axis else 0.5
+            line = np.array([g.lower[p] + (i + offset) * g.h for i in range(n)])
+            if p != face_axis:
+                assert np.array_equal(line, g.centers(p))
+            # physical axis p runs along array axis dim - 1 - p
+            shape = [1] * dim
+            shape[dim - 1 - p] = n
+            expected = np.broadcast_to(line.reshape(shape), g.shape)
+            assert coord.shape == g.shape
+            assert np.array_equal(coord, expected)
+
+
 def test_field_size_validation():
     g = Grid.box(2, 4)
     with pytest.raises(ValueError):

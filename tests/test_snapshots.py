@@ -1,6 +1,7 @@
 """Round-trip and validation of the rxd-field v1 snapshot format."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rxd import Field, Grid, read_field, write_field
-from rxd.snapshots import _CHUNK, format_float
+from rxd.snapshots import _CHUNK, _READ_LINES, format_float
 
 
 def reference_text(f, time=0.0):
@@ -147,3 +148,21 @@ def test_near_singular_round_trip(tmp_path):
     back, t = read_field(path)
     assert t == 1.5
     assert back.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("n", [_READ_LINES - 1, _READ_LINES, _READ_LINES + 1, 3 * _READ_LINES + 5])
+def test_read_across_chunks_is_bitwise_and_names_the_line_of_a_bad_value(tmp_path, n):
+    rng = np.random.default_rng(n)
+    f = line_field(np.exp(rng.uniform(-30.0, 30.0, n)))
+    path = tmp_path / "f.txt"
+    write_field(f, path)
+    back, _ = read_field(path)
+    assert back.values.tobytes() == f.values.tobytes()
+    assert back.values.tobytes() == np.loadtxt(path, skiprows=2).tobytes()
+    for cell, token in ((n - 1, "abc"), (n // 2, ""), (n - 1, "inf")):
+        lines = path.read_text().splitlines()
+        lines[2 + cell] = token
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}:{cell + 3}: ")):
+            read_field(bad)

@@ -1,6 +1,7 @@
 """Full-step driver: fixed points, invariants, diagnostics, determinism."""
 
 import io
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from rxd import (
     run_simulation,
     write_diagnostics_csv,
 )
-from rxd import splitting
+from rxd import diffusion, reaction, splitting
+from rxd.cli import default_config
 from rxd.splitting import DIAGNOSTICS_HEADER
 
 P_UNIT = ModelParams(1.0, 1.0, 1.0)
@@ -44,19 +46,30 @@ def test_time_config():
 
 
 def test_solver_options_validate_their_fields():
-    SolverOptions(reaction_tol=1e-14, cg_tol=1e-3, reaction_max_iter=1, cg_max_iter=1)
+    SolverOptions(reaction_tol=1e-14, cg_tol=1e-3, cg_max_iter=1)
     for bad in (
         {"reaction_tol": -1.0},
         {"reaction_tol": 0.0},
         {"reaction_tol": np.inf},
         {"cg_tol": np.nan},  # made the CG loop exit at once, reported as converged
         {"cg_tol": 0.0},
-        {"reaction_max_iter": 0},
         {"cg_max_iter": 0},
         {"cg_max_iter": -3},
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverOptions(**bad)
+
+
+def test_solver_defaults_have_one_home():
+    # The stage modules hold the only literals; SolverOptions and the config
+    # table take them by name, and SolverOptions holds exactly what a config
+    # and --checked can set.
+    solver = default_config()["solver"]
+    assert [f.name for f in fields(SolverOptions)] == [*solver, "checked"]
+    assert solver == {k: v for k, v in asdict(SolverOptions()).items() if k != "checked"}
+    assert solver["reaction_tol"] == reaction.DEFAULT_TOL
+    assert solver["cg_tol"] == diffusion.DEFAULT_TOL
+    assert solver["cg_max_iter"] is None
 
 
 def test_full_step_equilibrium_fixed_point():
@@ -160,7 +173,6 @@ def test_run_simulation_monotone_energy_constant_mass():
 def test_run_simulation_cadence_and_sinks():
     g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
     s = make_initial_condition(g)
-    seen_rows = []
     seen_snaps = []
     _, rows = run_simulation(
         s,
@@ -169,11 +181,9 @@ def test_run_simulation_cadence_and_sinks():
         COEFFS,
         diagnostics_every=5,
         snapshot_every=10,
-        on_row=seen_rows.append,
         on_snapshot=lambda step, state: seen_snaps.append(step),
     )
     assert [row.step for row in rows] == [0, 5, 10, 15, 20]
-    assert seen_rows == rows
     assert seen_snaps == [0, 10, 20]
     # diagnostics off entirely
     _, no_rows = run_simulation(
