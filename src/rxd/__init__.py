@@ -7,8 +7,8 @@ positive, and the composition is first-order accurate in time and
 second-order in space.
 """
 
-from .diffusion import LinearSolveReport, step_diffusion, step_diffusion_species
-from .errors import ConfigError, ConvergenceError, PositivityError
+from .diffusion import step_diffusion, step_diffusion_species
+from .errors import ConvergenceError, PositivityError
 from .grid import (
     DiffusionCoeffs,
     Field,
@@ -16,18 +16,15 @@ from .grid import (
     ModelParams,
     State,
     apply_variable_laplacian,
-    chemical_potentials,
     discrete_energy,
     face_coefficient,
     inner_product,
     mean_value,
-    norm_l2,
     norm_max,
 )
 from .reaction import solve_reaction_cell, step_reaction
 from .snapshots import read_field, write_field
 from .splitting import (
-    DiagnosticsRow,
     SolverOptions,
     TimeConfig,
     full_step,
@@ -38,7 +35,6 @@ from .splitting import (
 )
 from .study import (
     RefinementReport,
-    Scene,
     cauchy_a_star,
     cauchy_orders,
     compare_fields,
@@ -49,24 +45,19 @@ from .study import (
 )
 
 __all__ = [
-    "ConfigError",
     "ConvergenceError",
-    "DiagnosticsRow",
     "DiffusionCoeffs",
     "Field",
     "Grid",
-    "LinearSolveReport",
     "ModelParams",
     "PositivityError",
     "RefinementReport",
-    "Scene",
     "SolverOptions",
     "State",
     "TimeConfig",
     "apply_variable_laplacian",
     "cauchy_a_star",
     "cauchy_orders",
-    "chemical_potentials",
     "compare_fields",
     "convergence_orders",
     "discrete_energy",
@@ -75,7 +66,6 @@ __all__ = [
     "inner_product",
     "make_initial_condition",
     "mean_value",
-    "norm_l2",
     "norm_max",
     "benchmark_initial_functions",
     "benchmark_scene",

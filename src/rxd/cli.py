@@ -99,6 +99,8 @@ def _coefficient(spec) -> Coefficient:
     base, amplitude, period = (_number(spec.get(k, d)) for k, d in _COSINE_DEFAULTS.items())
     if base <= 0 or not abs(amplitude) < 1 or period <= 0:
         raise ValueError("a cosine profile needs base > 0, |amplitude| < 1, period > 0")
+    if not (math.isfinite(2.0 * base) and math.isfinite(2.0 * math.pi / period)):
+        raise ValueError("a cosine profile needs 2*base and 2*pi/period finite")
 
     def cosine(x, *rest):
         return base * (1.0 + amplitude * np.cos(2.0 * np.pi * x / period))
@@ -236,10 +238,7 @@ build_grid = partial(_build, Grid, "grid")
 build_params = partial(_build, ModelParams, "model")
 build_coeffs = partial(_build, DiffusionCoeffs, "diffusion")
 build_time = partial(_build, TimeConfig, "time")
-
-
-def build_options(cfg: dict, checked: bool) -> SolverOptions:
-    return _build(SolverOptions, "solver", cfg, checked=checked)
+build_options = partial(_build, SolverOptions, "solver")
 
 
 def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
@@ -275,7 +274,12 @@ def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
         if len(set(times.values())) > 1:
             stamps = ", ".join(f"{name}: t={format_float(t)}" for name, t in times.items())
             raise ConfigError(f"initial: snapshot time stamps differ ({stamps})")
-        return State(*fields.values(), times["a"])
+        state = State(*fields.values(), times["a"])
+        try:
+            state.require_positive("snapshot values")
+        except PositivityError as exc:
+            raise ConfigError(f"initial: {exc}") from exc
+        return state
 
     return factory
 
@@ -288,7 +292,7 @@ def build_scene(cfg: dict, checked: bool) -> Scene:
         params=build_params(cfg),
         coeffs=build_coeffs(cfg),
         initial=build_initial_factory(cfg),
-        options=build_options(cfg, checked),
+        options=build_options(cfg, checked=checked),
     )
 
 

@@ -12,10 +12,9 @@ and ``state.c`` are :class:`Field` views of those rows, so writing through a
 view writes into ``u``.
 
 Besides the containers, this module provides the discrete L2 inner product
-and norms, the variable-coefficient centered Laplacian in divergence (flux)
-form (:func:`div_grad`, the one stencil the diffusion solve also applies),
-the discrete free energy of a three-species state, and the log-form
-chemical potentials.
+and max norm, the variable-coefficient centered Laplacian in divergence
+(flux) form (:func:`div_grad`, the one stencil the diffusion solve also
+applies) and the discrete free energy of a three-species state.
 """
 
 from __future__ import annotations
@@ -150,10 +149,9 @@ class Field:
         return cls(grid, np.asarray(fn(*grid.mesh()), dtype=float))
 
 
-# A diffusion coefficient: a positive constant, a positive function of
-# position (sampled analytically at face centers), or a cellwise Field
-# (face value = mean of the two adjacent cells).
-Coefficient = Union[float, Callable[..., np.ndarray], Field]
+# A diffusion coefficient: a positive constant or a positive function of
+# position (sampled analytically at face centers).
+Coefficient = Union[float, Callable[..., np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -263,11 +261,6 @@ def inner_product(f: Field, g: Field) -> float:
     return float(f.grid.cell_volume * np.sum(f.values * g.values))
 
 
-def norm_l2(f: Field) -> float:
-    """Discrete L2 norm, sqrt(<f, f>)."""
-    return float(np.sqrt(f.grid.cell_volume) * np.linalg.norm(f.values.ravel()))
-
-
 def norm_max(f: Field) -> float:
     """Discrete maximum norm, max |f|."""
     return float(np.max(np.abs(f.values)))
@@ -292,33 +285,20 @@ def discrete_energy(state: State, params: ModelParams) -> float:
     return state.grid.cell_volume * total
 
 
-def chemical_potentials(state: State, params: ModelParams) -> tuple[Field, Field, Field]:
-    """Cellwise chemical potentials ln(a/a_inf), ln(b/b_inf), ln(c/c_inf)."""
-    state.require_positive("chemical_potentials")
-    refs = (params.a_inf, params.b_inf, params.c_inf)
-    return tuple(Field(state.grid, np.log(v / ref)) for v, ref in zip(state.u, refs))
-
-
 def face_coefficient(grid: Grid, d: Coefficient, axis: int) -> Union[float, np.ndarray]:
     """Diffusion coefficient sampled on the faces normal to a physical axis.
 
     Entry ``[..., i, ...]`` (along the array axis for ``axis``) is the value
     on the face between cell i and cell i+1 (periodic wrap at the end).
     Constants pass through unchanged; callables are evaluated at face
-    centers; cellwise Fields are averaged between the two adjacent cells.
+    centers.
     """
     if isinstance(d, (int, float)):
         if not d > 0.0:
             raise PositivityError(f"diffusion coefficient must be positive, got {d}")
         return float(d)
-    array_axis = grid.dim - 1 - axis
-    if isinstance(d, Field):
-        if d.grid != grid:
-            raise ValueError("cellwise diffusion coefficient lives on a different grid")
-        vals = 0.5 * (d.values + np.roll(d.values, -1, axis=array_axis))
-    else:
-        vals = np.asarray(d(*grid.mesh(face_axis=axis)), dtype=float)
-        vals = np.broadcast_to(vals, grid.shape)
+    vals = np.asarray(d(*grid.mesh(face_axis=axis)), dtype=float)
+    vals = np.broadcast_to(vals, grid.shape)
     if not np.all(vals > 0.0):
         raise PositivityError(
             f"diffusion coefficient non-positive on a face along axis {axis}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, TextIO, Union
 
@@ -79,7 +79,6 @@ class RefinementReport:
     params: list[float]
     errors: list[tuple[float, float, float]]
     orders: list[tuple[float, float, float]]
-    meta: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         if any(p2 >= p1 for p1, p2 in zip(self.params, self.params[1:])):
@@ -208,7 +207,7 @@ def _final_state(grid: Grid, tc: TimeConfig, scene: Scene) -> State:
 
 
 def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: list,
-            meta: dict, scene: Scene, jobs: int) -> RefinementReport:
+            scene: Scene, jobs: int) -> RefinementReport:
     """Run every (grid, TimeConfig), difference the finals of each (i, j) pair.
 
     Each pair gives one row of per-species :func:`compare_fields` differences
@@ -229,7 +228,7 @@ def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: lis
         for i, j in pairs
     ]
     orders = list(zip(*(orders_of([e[s] for e in errors]) for s in range(3))))
-    return RefinementReport(kind, params, errors, orders, meta)
+    return RefinementReport(kind, params, errors, orders)
 
 
 def temporal_order(
@@ -256,9 +255,7 @@ def temporal_order(
     runs = [(grid, TimeConfig(dt, t_final)) for dt in (*dts, ref_dt)]
     return _refine(
         "temporal", runs, [(i, len(dts)) for i in range(len(dts))],
-        partial(convergence_orders, dts), list(dts),
-        {"grid_n": grid.n, "t_final": t_final, "reference": f"same grid, dt={ref_dt!r}"},
-        scene, jobs,
+        partial(convergence_orders, dts), list(dts), scene, jobs,
     )
 
 
@@ -286,11 +283,8 @@ def spatial_cauchy_order(
         if abs(n - round(n)) > 1e-9 * n:
             raise ValueError(f"h = {h!r} does not tile the domain extent {extent!r}")
         grids.append(scene.grid(int(round(n))))
-    dts = [h * h for h in hs]
-    runs = [(g, TimeConfig(dt, t_final)) for g, dt in zip(grids, dts)]
+    runs = [(g, TimeConfig(h * h, t_final)) for g, h in zip(grids, hs)]
     return _refine(
         "spatial", runs, [(j, j + 1) for j in range(len(hs) - 1)],
-        partial(cauchy_orders, hs), list(hs[1:]),
-        {"t_final": t_final, "dts": dts, "resolutions": [g.n for g in grids]},
-        scene, jobs,
+        partial(cauchy_orders, hs), list(hs[1:]), scene, jobs,
     )

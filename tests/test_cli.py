@@ -162,6 +162,23 @@ def test_snapshot_initial_grid_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_snapshot_initial_rejects_nonpositive_values(tmp_path, capsys):
+    # A config error (2) found before the output directory exists, as for
+    # the other initial kinds; not a solver failure (3) from the run.
+    g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
+    spec = {"kind": "snapshot"}
+    for name, level in (("a", 1.0), ("b", 0.0), ("c", 1.0)):
+        path = tmp_path / f"init_{name}.txt"
+        write_field(Field.full(g, level), path)
+        spec[name] = str(path)
+    code = run_cli(*fast_run_args(tmp_path, "--set", f"initial={json.dumps(spec)}"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial:") and "species b" in err, err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cosine_diffusion_profile(tmp_path):
     spec = {"profile": "cosine", "base": 0.5, "amplitude": 0.4, "period": 2.0}
     code = run_cli(*fast_run_args(tmp_path, "--set", f"diffusion.d_a={json.dumps(spec)}"))
@@ -293,6 +310,8 @@ def test_parse_error_names_its_section_once(tmp_path, capsys, key):
         ("model.a_inf=Infinity", "model.a_inf"),
         # a config error (2), not a solver failure (3)
         ("diffusion.d_a=Infinity", "diffusion.d_a"),
+        ('diffusion.d_b={"profile":"cosine","base":1e308}', "diffusion.d_b"),
+        ('diffusion.d_b={"profile":"cosine","period":1e-320}', "diffusion.d_b"),
     ],
 )
 def test_rejects_bad_values_and_unknown_keys(tmp_path, monkeypatch, capsys, setting, named):
