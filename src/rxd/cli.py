@@ -88,6 +88,10 @@ def _string(value) -> str:
 _COSINE_DEFAULTS = {"base": 1.0, "amplitude": 0.5, "period": 2.0}
 
 
+def _cosine(x, *rest, base, amplitude, period):
+    return base * (1.0 + amplitude * np.cos(2.0 * np.pi * x / period))
+
+
 def _coefficient(spec) -> Coefficient:
     """A number is a constant; an object selects a named analytic profile."""
     if not isinstance(spec, dict):
@@ -99,13 +103,9 @@ def _coefficient(spec) -> Coefficient:
     base, amplitude, period = (_number(spec.get(k, d)) for k, d in _COSINE_DEFAULTS.items())
     if base <= 0 or not abs(amplitude) < 1 or period <= 0:
         raise ValueError("a cosine profile needs base > 0, |amplitude| < 1, period > 0")
-    if not (math.isfinite(2.0 * base) and math.isfinite(2.0 * math.pi / period)):
-        raise ValueError("a cosine profile needs 2*base and 2*pi/period finite")
-
-    def cosine(x, *rest):
-        return base * (1.0 + amplitude * np.cos(2.0 * np.pi * x / period))
-
-    return cosine
+    if not math.isfinite(2.0 * base):
+        raise ValueError("a cosine profile needs 2*base finite")
+    return partial(_cosine, base=base, amplitude=amplitude, period=period)
 
 
 # Every config key as section -> key -> (default, parser).  default_config()
@@ -285,12 +285,20 @@ def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
 
 
 def build_scene(cfg: dict, checked: bool) -> Scene:
-    grid = build_grid(cfg)
+    grid, params, coeffs = build_grid(cfg), build_params(cfg), build_coeffs(cfg)
+    # The faces reach x = lower + n h; the cosine's phase must be finite there.
+    x_max = max(abs(grid.lower[0]), abs(grid.lower[0] + grid.n * grid.h))
+    for name in ("d_a", "d_b", "d_c"):
+        d = getattr(coeffs, name)
+        phase = 2.0 * math.pi * x_max / d.keywords["period"] if isinstance(d, partial) else 0.0
+        if not math.isfinite(phase):
+            raise ConfigError(f"diffusion.{name}: a cosine profile needs 2*pi*x/period finite "
+                              f"on the box, |x| reaches {x_max!r}")
     return Scene(
         lower=grid.lower,
         upper=grid.upper,
-        params=build_params(cfg),
-        coeffs=build_coeffs(cfg),
+        params=params,
+        coeffs=coeffs,
         initial=build_initial_factory(cfg),
         options=build_options(cfg, checked=checked),
     )

@@ -13,11 +13,15 @@ iterations unless ``tol`` is below the roundoff of the FFT solve; for
 variable coefficients the iteration count stays flat as the grid is
 refined (circulant preconditioning, Strang 1986, Chan 1988).
 
-The solves of one step run in one workspace of scratch arrays: the
-stencil, the residual check and the spectral solve write into it (the FFTs
-through their ``out=`` arguments) and the solution goes straight into its
-row of the new stack.  These in-place forms keep the operation order of
-the plain array expressions, so they give the same bits as those would.
+A run builds what it does not change once, through :func:`build_operators`:
+per species the face coefficients and the preconditioner's symbol, and one
+workspace of scratch arrays that the three species share.  The stencil,
+the residual check and the spectral solve write into the workspace (the
+FFTs through their ``out=`` arguments) and each solution goes straight into
+its row of the output stack.  These in-place forms keep the operation order
+of the plain array expressions, so they give the same bits as those would.
+The output stack may be a stack the caller no longer needs; the driver
+passes one only when no caller holds it.
 
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
@@ -45,13 +49,14 @@ class LinearSolveReport:
 
 
 class _Workspace:
-    """Scratch arrays for the solves of one diffusion step.
+    """Scratch arrays for the diffusion solves of one run.
 
     ``flux`` and ``tmp`` are the stencil's scratch, ``res`` holds the
     residual and ``spec`` the rfftn spectrum of the spectral solve; the CG
     vectors z, p and A p are allocated on first use.  One workspace serves
-    the three species of one step in turn and is dropped with it, so
-    nothing is kept across steps or shared between threads.
+    the three species of every step in turn; no result is left in it
+    between solves, and it is not shared between threads (each run builds
+    its own).
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -150,6 +155,14 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
     return LinearSolveReport(iterations, rel, True)
 
 
+def build_operators(grid, coeffs: DiffusionCoeffs,
+                    dt: float) -> tuple[_ImplicitDiffusionOperator, ...]:
+    """The implicit operators of species a, b and c for one grid and dt, over one workspace."""
+    work = _Workspace(grid.shape)
+    return tuple(_ImplicitDiffusionOperator(grid, d, dt, work)
+                 for d in (coeffs.d_a, coeffs.d_b, coeffs.d_c))
+
+
 def step_diffusion_species(
     u_star: Field,
     d: Coefficient,
@@ -157,12 +170,13 @@ def step_diffusion_species(
     tol: float = DEFAULT_TOL,
     max_iter: Optional[int] = None,
     out: Optional[np.ndarray] = None,
-    work: Optional[_Workspace] = None,
+    op: Optional[_ImplicitDiffusionOperator] = None,
 ) -> tuple[Field, LinearSolveReport]:
     """Implicit Euler update of one species: solve (I - dt div(D grad)) u = u*.
 
-    The solution is written into ``out`` (a new array when None), using the
-    scratch arrays of ``work`` (new ones when None).
+    The solution is written into ``out`` (a new array when None).  ``op`` is
+    the operator for ``d`` and ``dt`` on u*'s grid, with its workspace; when
+    None one is built for this call.
     """
     if not dt > 0.0:
         raise PositivityError(f"step_diffusion_species: dt must be positive, got {dt}")
@@ -171,7 +185,8 @@ def step_diffusion_species(
         raise ValueError(f"u_star has a non-finite value at cell {bad}")
     if max_iter is None:
         max_iter = 10 * u_star.grid.num_cells
-    op = _ImplicitDiffusionOperator(u_star.grid, d, dt, work)
+    if op is None:
+        op = _ImplicitDiffusionOperator(u_star.grid, d, dt)
     x = np.empty_like(u_star.values) if out is None else out
     report = _pcg(op, u_star.values, x, tol, max_iter)
     return Field(u_star.grid, x), report
@@ -183,20 +198,26 @@ def step_diffusion(
     dt: float,
     tol: float = DEFAULT_TOL,
     max_iter: Optional[int] = None,
+    ops: Optional[tuple[_ImplicitDiffusionOperator, ...]] = None,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[State, tuple[LinearSolveReport, LinearSolveReport, LinearSolveReport]]:
     """Advance all three species by implicit diffusion; time moves forward by dt.
 
     The three solves are independent; each writes its row of the new stack
-    and all three share one workspace.  The result must be strictly
-    positive; if it is not, the linear tolerance is too loose for the data
-    and a :class:`PositivityError` is raised instead of silently clipping.
+    ``out`` (a new array when None; it must not be ``state_star.u``).
+    ``ops`` are the operators of :func:`build_operators` for ``coeffs`` and
+    ``dt``, built here when None.  The result must be strictly positive; if
+    it is not, the linear tolerance is too loose for the data and a
+    :class:`PositivityError` is raised instead of silently clipping.
     """
     state_star.require_positive("step_diffusion input")
-    u = np.empty_like(state_star.u)
-    work = _Workspace(state_star.grid.shape)
+    if ops is None:
+        ops = build_operators(state_star.grid, coeffs, dt)
+    u = np.empty_like(state_star.u) if out is None else out
     reports = []
-    for (_, f), d, row in zip(state_star.species(), (coeffs.d_a, coeffs.d_b, coeffs.d_c), u):
-        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter, row, work)
+    for (_, f), d, op, row in zip(state_star.species(), (coeffs.d_a, coeffs.d_b, coeffs.d_c),
+                                  ops, u):
+        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter, row, op)
         row[...] = u_next.values  # no copy when the solve wrote into row
         reports.append(report)
     state = State.from_stack(state_star.grid, u, state_star.time + dt)

@@ -73,6 +73,12 @@ class Grid:
                 raise ValueError(
                     f"spacing must match on all axes, got {spacings}"
                 )
+        try:
+            volume = h**self.dim
+        except OverflowError:
+            volume = math.inf
+        if not math.isfinite(volume):
+            raise ValueError(f"cell volume h**{self.dim} is not finite for h = {h!r}")
         object.__setattr__(self, "h", h)
 
     @classmethod
@@ -306,6 +312,16 @@ def face_coefficient(grid: Grid, d: Coefficient, axis: int) -> Union[float, np.n
     return vals
 
 
+# _SHIFTS[ndim][axis]: index tuples for [1:], [:-1], [:1] and [-1:] along the
+# array axis of physical axis ``axis`` (array axes run z, y, x).
+_SHIFTS = {
+    ndim: [[(slice(None),) * (ndim - 1 - axis) + (s,)
+            for s in (slice(1, None), slice(None, -1), slice(None, 1), slice(-1, None))]
+           for axis in range(ndim)]
+    for ndim in (1, 2, 3)
+}
+
+
 def div_grad(v: np.ndarray, faces, h: float, out: Optional[np.ndarray] = None,
              flux: Optional[np.ndarray] = None, tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """The divergence-form operator div(D grad v) with periodic wrap.
@@ -327,17 +343,14 @@ def div_grad(v: np.ndarray, faces, h: float, out: Optional[np.ndarray] = None,
     if tmp is None and len(faces) > 1:
         tmp = np.empty_like(v)
     for axis, dface in enumerate(faces):
-        # The array axis of this physical axis, moved last: [..., i] is cell i.
-        array_axis = v.ndim - 1 - axis
-        vi, fi = np.moveaxis(v, array_axis, -1), np.moveaxis(flux, array_axis, -1)
-        np.subtract(vi[..., 1:], vi[..., :-1], out=fi[..., :-1])
-        np.subtract(vi[..., :1], vi[..., -1:], out=fi[..., -1:])
+        hi, lo, first, last = _SHIFTS[v.ndim][axis]
+        np.subtract(v[hi], v[lo], out=flux[lo])
+        np.subtract(v[first], v[last], out=flux[last])
         np.multiply(dface, flux, out=flux)
         np.divide(flux, h, out=flux)
         dest = out if axis == 0 else tmp
-        di = np.moveaxis(dest, array_axis, -1)
-        np.subtract(fi[..., 1:], fi[..., :-1], out=di[..., 1:])
-        np.subtract(fi[..., :1], fi[..., -1:], out=di[..., :1])
+        np.subtract(flux[hi], flux[lo], out=dest[hi])
+        np.subtract(flux[first], flux[last], out=dest[first])
         np.divide(dest, h, out=dest)
         if axis > 0:
             np.add(out, tmp, out=out)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, TextIO, Union
 import numpy as np
 
 from . import diffusion, reaction
-from .diffusion import step_diffusion
+from .diffusion import build_operators, step_diffusion
 from .grid import (
     DiffusionCoeffs,
     Field,
@@ -148,26 +148,37 @@ def full_step(
     coeffs: DiffusionCoeffs,
     options: SolverOptions = SolverOptions(),
     collect: bool = True,
+    ops: Optional[tuple] = None,
+    out: Optional[np.ndarray] = None,
+    energy_before: Optional[float] = None,
 ) -> tuple[State, Optional[DiagnosticsRow]]:
     """One split step: reaction with step dt, then diffusion with step dt.
 
     Returns the advanced state and (when ``collect`` or in checked mode) a
     diagnostics row with ``step`` left at 0 for the caller to fill in.
+    ``ops`` and ``out`` go to :func:`step_diffusion`; ``out`` may be
+    ``state.u`` when the caller no longer needs ``state``, since the
+    reaction has consumed it by then.  ``energy_before`` is the energy of
+    ``state`` if the caller has it; checked mode computes it otherwise.
     """
     checked = options.checked
-    energy_before = discrete_energy(state, params) if checked else None
+    if checked and energy_before is None:
+        energy_before = discrete_energy(state, params)
     star, solve = step_reaction(state, dt, params, tol=options.reaction_tol)
+    reaction_residual = solve.max_residual
+    del solve  # its per-cell arrays, and star after the diffusion, leave the step's peak
     energy_star = discrete_energy(star, params) if checked else None
     next_state, reports = step_diffusion(
-        star, coeffs, dt, tol=options.cg_tol, max_iter=options.cg_max_iter
+        star, coeffs, dt, options.cg_tol, options.cg_max_iter, ops, out
     )
+    del star
     row = None
     if collect or checked:
         row = _state_row(
             next_state,
             params,
             step=0,
-            reaction_residual=solve.max_residual,
+            reaction_residual=reaction_residual,
             cg_iters=tuple(r.iterations for r in reports),
         )
     if checked:
@@ -200,23 +211,32 @@ def run_simulation(
     always recorded), and field snapshots are handed to ``on_snapshot``
     every ``snapshot_every`` steps.  In checked mode the conserved masses
     are verified against the initial values at every step.
+
+    The diffusion operators and their workspace are built once for the
+    run.  A step writes its result into the stack of the state it started
+    from, unless a caller holds that state: the initial state and the
+    states handed to ``on_snapshot`` are never overwritten.
     """
     initial.require_positive("run_simulation initial state")
     rows: list[DiagnosticsRow] = []
-    mass_ac0 = mass_bc0 = None
+    mass_ac0 = mass_bc0 = row = None
     if diagnostics_every > 0 or options.checked:
-        first = _state_row(initial, params, step=0)
-        mass_ac0, mass_bc0 = first.mass_ac, first.mass_bc
+        row = _state_row(initial, params, step=0)
+        mass_ac0, mass_bc0 = row.mass_ac, row.mass_bc
         if diagnostics_every > 0:
-            rows.append(first)
-    if snapshot_every > 0 and on_snapshot is not None:
+            rows.append(row)
+    snapshots = snapshot_every > 0 and on_snapshot is not None
+    if snapshots:
         on_snapshot(0, initial)
 
-    state = initial
+    ops = build_operators(initial.grid, coeffs, tc.dt)
+    state, held = initial, True
     for k in range(1, tc.steps + 1):
         want_row = diagnostics_every > 0 and (k % diagnostics_every == 0 or k == tc.steps)
         state, row = full_step(
-            state, tc.dt, params, coeffs, options, collect=want_row
+            state, tc.dt, params, coeffs, options, collect=want_row,
+            ops=ops, out=None if held else state.u,
+            energy_before=None if row is None else row.energy,
         )
         # k * dt rather than a running sum of dt, which drifts by roundoff.
         state.time = initial.time + k * tc.dt
@@ -234,7 +254,8 @@ def run_simulation(
                         )
         if want_row:
             rows.append(row)
-        if snapshot_every > 0 and on_snapshot is not None and k % snapshot_every == 0:
+        held = snapshots and k % snapshot_every == 0
+        if held:
             on_snapshot(k, state)
     return state, rows
 

@@ -1,9 +1,11 @@
-"""Allocation budget of one split step, in multiples of one field's size.
+"""Allocation budgets of the split step and of a run, in multiples of one field's size.
 
 Both stages are memory-bound passes over the grid, so every field-sized
 temporary costs a pass over fresh memory.  The traced peak of each stage
 (at N = 256, after a warm-up call) must stay within a fixed number of field
 sizes; the inputs, outputs and scratch arrays each stage needs fit within it.
+A run keeps its workspace and reuses the stacks of states no caller holds,
+so its peak over several steps is bounded as tightly as one step's.
 """
 
 import tracemalloc
@@ -11,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rxd import DiffusionCoeffs, Grid, ModelParams, make_initial_condition
-from rxd import step_diffusion, step_reaction
+from rxd import DiffusionCoeffs, Grid, ModelParams, SolverOptions, TimeConfig
+from rxd import make_initial_condition, run_simulation, step_diffusion, step_reaction
 
 N = 256
 DT = 0.01
@@ -42,7 +44,21 @@ def test_reaction_stage_peak(state):
 
 def test_diffusion_stage_peak(state):
     # the output stack (3), the workspace (3 arrays and a half-size complex
-    # spectrum, ~4), the preconditioner's symbol (1/2) and finiteness masks
+    # spectrum, ~4), the three preconditioner symbols (3/2) and finiteness
+    # masks
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
     peak = _peak_in_fields(lambda: step_diffusion(state, coeffs, DT))
     assert peak <= 9.0, peak
+
+
+def test_run_peak(state):
+    # 4 unchecked steps: the workspace and symbols (11/2), the state being
+    # advanced (3) and the reaction's output stack, R and iteration counts
+    # (5); the diffusion writes into the stack of the state it consumed.
+    # Measured 13.5; one more stack per step would exceed the budget.
+    tc = TimeConfig(DT, 4 * DT)
+    options = SolverOptions(checked=False)
+    coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
+    peak = _peak_in_fields(
+        lambda: run_simulation(state, tc, ModelParams(1.0, 1.0, 1.0), coeffs, options))
+    assert peak <= 14.5, peak

@@ -18,6 +18,9 @@ from rxd.cli import (
 )
 
 
+UNIFORM = 'initial={"kind":"uniform","a":1,"b":1,"c":1}'
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -312,11 +315,18 @@ def test_parse_error_names_its_section_once(tmp_path, capsys, key):
         ("diffusion.d_a=Infinity", "diffusion.d_a"),
         ('diffusion.d_b={"profile":"cosine","base":1e308}', "diffusion.d_b"),
         ('diffusion.d_b={"profile":"cosine","period":1e-320}', "diffusion.d_b"),
+        # not an OverflowError traceback: h**dim overflows although h is finite
+        (("grid.lower=[-1e300,-1e300]", "grid.upper=[1e300,1e300]", UNIFORM), "grid"),
+        # not a cos(inf) warning and exit 3: 2*pi*x/period overflows on the box
+        (("grid.lower=[-1e10,-1e10]", "grid.upper=[1e10,1e10]", UNIFORM,
+          'diffusion.d_b={"profile":"cosine","period":1e-300}'), "diffusion.d_b"),
     ],
 )
 def test_rejects_bad_values_and_unknown_keys(tmp_path, monkeypatch, capsys, setting, named):
     monkeypatch.chdir(tmp_path)  # no --out: the configured out_dir must not appear either
-    code = run_cli("run", "--set", "grid.n=8", "--set", "time.t_final=0.02", "--set", setting)
+    settings = [setting] if isinstance(setting, str) else setting
+    code = run_cli("run", "--set", "grid.n=8", "--set", "time.t_final=0.02",
+                   *(arg for item in settings for arg in ("--set", item)))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err, err

@@ -1,7 +1,7 @@
 """Full-step driver: fixed points, invariants, diagnostics, determinism."""
 
 import io
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -217,6 +217,68 @@ def test_run_simulation_is_deterministic():
         write_diagnostics_csv(rows, buf)
         tables.append(buf.getvalue())
     assert tables[0] == tables[1]
+
+
+def _cosine(x, *rest):
+    return 1.0 + 0.9 * np.cos(np.pi * x)
+
+
+def _stepper_case(name):
+    """(initial state, time axis, coefficients) of one stepper-equivalence case."""
+    if name == "constant-2d":
+        return (make_initial_condition(Grid.box(2, 16, -1.0, 1.0)), TimeConfig(0.01, 0.06),
+                COEFFS)
+    if name == "cosine-2d":
+        return (make_initial_condition(Grid.box(2, 16, -1.0, 1.0)), TimeConfig(0.01, 0.06),
+                DiffusionCoeffs(0.05, _cosine, 0.1))
+    dim, n, dt = {"tiny-1d": (1, 32, 0.05), "dt100-3d": (3, 6, 100.0)}[name]
+    g = Grid.box(dim, n, -1.0, 1.0)
+    rng = np.random.default_rng(dim)
+    u = rng.uniform(0.2, 1.2, (3, *g.shape))
+    if name == "tiny-1d":
+        u[:, rng.uniform(size=g.shape) < 0.5] = 1e-12
+    return State.from_stack(g, u), TimeConfig(dt, 6 * dt), DiffusionCoeffs(_cosine, 0.3, _cosine)
+
+
+@pytest.mark.parametrize("case", ["constant-2d", "cosine-2d", "tiny-1d", "dt100-3d"])
+@pytest.mark.parametrize("snapshot_every", [0, 2])
+def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every):
+    # The run reuses its operators, workspace and the stacks of states no
+    # caller holds; a loop of standalone steps builds everything anew.
+    initial, tc, coeffs = _stepper_case(case)
+    u0 = initial.u.copy()
+    states, rows = [initial], []
+    for _ in range(tc.steps):
+        state, row = full_step(states[-1], tc.dt, P_UNIT, coeffs)
+        states.append(state)
+        rows.append(row)
+    assert case != "cosine-2d" or all(row.cg_iters_b > 0 for row in rows)
+    kept = []
+    final, run_rows = run_simulation(initial, tc, P_UNIT, coeffs, snapshot_every=snapshot_every,
+                                     on_snapshot=lambda k, state: kept.append((k, state)))
+    np.testing.assert_array_equal(initial.u, u0)
+    np.testing.assert_array_equal(final.u, states[-1].u)
+    assert [k for k, _ in kept] == (list(range(0, tc.steps + 1, snapshot_every))
+                                    if snapshot_every else [])
+    for k, state in kept:
+        np.testing.assert_array_equal(state.u, states[k].u)
+    assert [replace(r, step=0, time=0.0) for r in run_rows[1:]] == [
+        replace(r, time=0.0) for r in rows]
+
+
+def test_checked_run_computes_energy_twice_per_step(monkeypatch):
+    # The energy before a step is the previous row's, computed on the same
+    # array; only the initial row and a standalone step compute it anew.
+    calls = []
+    energy = splitting.discrete_energy
+    monkeypatch.setattr(splitting, "discrete_energy",
+                        lambda *args: calls.append(1) or energy(*args))
+    s = make_initial_condition(Grid.box(2, 8, -1.0, 1.0))
+    run_simulation(s, TimeConfig(0.01, 0.04), P_UNIT, COEFFS, diagnostics_every=0)
+    assert len(calls) == 1 + 2 * 4
+    calls.clear()
+    full_step(s, 0.01, P_UNIT, COEFFS)
+    assert len(calls) == 3
 
 
 def test_diagnostics_csv_format():
