@@ -304,17 +304,18 @@ def build_scene(cfg: dict, checked: bool) -> Scene:
     )
 
 
-def _prepare(args, *unused: str) -> dict:
-    """The merged config; unknown sections are refused and the ``unused`` ones checked."""
-    if getattr(args, "jobs", 1) < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+def _prepare(args) -> dict:
+    """The merged config, every section checked; unknown sections are refused."""
+    if getattr(args, "jobs", 1) != 1:
+        raise ConfigError(f"--jobs must be 1, got {args.jobs}: studies run their resolutions "
+                          "in order; the option stays only until the benchmark stops passing it")
     cfg = apply_overrides(load_config(args.config), args.set or [])
     for name in cfg:
         if name not in _CONFIG:
             raise ConfigError(f"unknown config section {name!r} (known: {', '.join(_CONFIG)})")
     if args.out is not None and isinstance(cfg["output"], dict):
         cfg["output"]["out_dir"] = args.out
-    for name in unused:
+    for name in _CONFIG:
         _section(cfg, name)
     return cfg
 
@@ -325,7 +326,7 @@ def _out_dir(output: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = _prepare(args, "study_time", "study_space")
+    cfg = _prepare(args)
     output = _section(cfg, "output")
     scene = build_scene(cfg, output["checked"] if args.checked is None else args.checked)
     tc = build_time(cfg)
@@ -355,16 +356,16 @@ def cmd_run(args) -> int:
 def cmd_study(args) -> int:
     """``study-time`` or ``study-space``, by ``args.command``."""
     name = args.command.replace("-", "_")
-    cfg = _prepare(args, "time", "study_space" if name == "study_time" else "study_time")
+    cfg = _prepare(args)
     study = _section(cfg, name)
     output = _section(cfg, "output")
     scene = build_scene(cfg, bool(args.checked))
     try:
         if name == "study_time":
             report = temporal_order(study["dts"], study["ref_dt"], scene.grid(study["n"]),
-                                    study["t_final"], scene, jobs=args.jobs)
+                                    study["t_final"], scene)
         else:
-            report = spatial_cauchy_order(study["hs"], study["t_final"], scene, jobs=args.jobs)
+            report = spatial_cauchy_order(study["hs"], study["t_final"], scene)
     except PositivityError:
         raise  # a solver failure, not a bad argument
     except ValueError as exc:
@@ -413,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         _add_common(p)
         if func is not cmd_run:
-            p.add_argument("--jobs", type=int, default=1, help="worker threads for study runs")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="must be 1 (studies run their resolutions in order); the option "
+                                "stays only until the benchmark stops passing it")
         p.set_defaults(func=func)
 
     p_inspect = sub.add_parser("inspect", help="print snapshot header and statistics")

@@ -30,6 +30,7 @@ conservation.  A violation signals a far-too-loose tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,8 +56,7 @@ class _Workspace:
     residual and ``spec`` the rfftn spectrum of the spectral solve; the CG
     vectors z, p and A p are allocated on first use.  One workspace serves
     the three species of every step in turn; no result is left in it
-    between solves, and it is not shared between threads (each run builds
-    its own).
+    between solves.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -128,8 +128,8 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
     r = op.residual(b, x)
     rel = float(np.linalg.norm(r.ravel())) / b_norm
     iterations = 0
-    while rel > tol:
-        if iterations >= max_iter:
+    while not rel <= tol:  # a NaN residual enters the loop, to be refused
+        if iterations >= max_iter or not math.isfinite(rel):
             report = LinearSolveReport(iterations, rel, False)
             raise ConvergenceError(
                 f"CG stalled at relative residual {rel:.3e} after "

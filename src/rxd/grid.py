@@ -274,7 +274,8 @@ def norm_max(f: Field) -> float:
 
 def mean_value(f: Field) -> float:
     """<f, 1>: the discrete integral of f over the domain."""
-    return float(f.grid.cell_volume * np.sum(f.values))
+    # A Python float product: an overflow gives inf without a numpy warning.
+    return f.grid.cell_volume * float(np.sum(f.values))
 
 
 def discrete_energy(state: State, params: ModelParams) -> float:
@@ -297,11 +298,13 @@ def face_coefficient(grid: Grid, d: Coefficient, axis: int) -> Union[float, np.n
     Entry ``[..., i, ...]`` (along the array axis for ``axis``) is the value
     on the face between cell i and cell i+1 (periodic wrap at the end).
     Constants pass through unchanged; callables are evaluated at face
-    centers.
+    centers.  Every value must be positive and finite.
     """
     if isinstance(d, (int, float)):
         if not d > 0.0:
             raise PositivityError(f"diffusion coefficient must be positive, got {d}")
+        if not math.isfinite(d):
+            raise ValueError(f"diffusion coefficient must be finite, got {d}")
         return float(d)
     vals = np.asarray(d(*grid.mesh(face_axis=axis)), dtype=float)
     vals = np.broadcast_to(vals, grid.shape)
@@ -309,6 +312,8 @@ def face_coefficient(grid: Grid, d: Coefficient, axis: int) -> Union[float, np.n
         raise PositivityError(
             f"diffusion coefficient non-positive on a face along axis {axis}"
         )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"diffusion coefficient not finite on a face along axis {axis}")
     return vals
 
 

@@ -141,6 +141,16 @@ def _state_row(state: State, params: ModelParams, step: int,
     )
 
 
+def _check_row(row: DiagnosticsRow, first: DiagnosticsRow) -> None:
+    """Checked mode's test of a row: energy and masses finite, masses those of ``first``."""
+    for name in ("energy", "mass_ac", "mass_bc"):
+        now, ref = getattr(row, name), getattr(first, name)
+        if not math.isfinite(now):
+            raise AssertionError(f"{name} is not finite at step {row.step}: {now!r}")
+        if name != "energy" and abs(now - ref) > MASS_DRIFT_TOL * abs(ref):
+            raise AssertionError(f"{name} drifted at step {row.step}: {ref!r} -> {now!r}")
+
+
 def full_step(
     state: State,
     dt: float,
@@ -209,8 +219,9 @@ def run_simulation(
     Diagnostics rows are recorded every ``diagnostics_every`` steps (0
     disables recording; the initial state is row 0 and the final step is
     always recorded), and field snapshots are handed to ``on_snapshot``
-    every ``snapshot_every`` steps.  In checked mode the conserved masses
-    are verified against the initial values at every step.
+    every ``snapshot_every`` steps.  In checked mode every row, the initial
+    one included, must have a finite energy and finite conserved masses,
+    and the masses are verified against the initial values at every step.
 
     The diffusion operators and their workspace are built once for the
     run.  A step writes its result into the stack of the state it started
@@ -219,10 +230,11 @@ def run_simulation(
     """
     initial.require_positive("run_simulation initial state")
     rows: list[DiagnosticsRow] = []
-    mass_ac0 = mass_bc0 = row = None
+    first = row = None
     if diagnostics_every > 0 or options.checked:
-        row = _state_row(initial, params, step=0)
-        mass_ac0, mass_bc0 = row.mass_ac, row.mass_bc
+        first = row = _state_row(initial, params, step=0)
+        if options.checked:
+            _check_row(row, first)
         if diagnostics_every > 0:
             rows.append(row)
     snapshots = snapshot_every > 0 and on_snapshot is not None
@@ -243,15 +255,7 @@ def run_simulation(
         if row is not None:
             row = replace(row, step=k, time=state.time)
             if options.checked:
-                for label, now, ref in (
-                    ("<a+c,1>", row.mass_ac, mass_ac0),
-                    ("<b+c,1>", row.mass_bc, mass_bc0),
-                ):
-                    if abs(now - ref) > MASS_DRIFT_TOL * abs(ref):
-                        raise AssertionError(
-                            f"conserved mass {label} drifted at step {k}: "
-                            f"{ref!r} -> {now!r}"
-                        )
+                _check_row(row, first)
         if want_row:
             rows.append(row)
         held = snapshots and k % snapshot_every == 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, TextIO, Union
@@ -198,28 +197,16 @@ def compare_fields(coarse: Field, fine: Field) -> float:
     return float(np.max(np.abs(coarse.values - vals)))
 
 
-def _final_state(grid: Grid, tc: TimeConfig, scene: Scene) -> State:
-    final, _ = run_simulation(
-        scene.initial(grid), tc, scene.params, scene.coeffs,
-        options=scene.options, diagnostics_every=0,
-    )
-    return final
-
-
 def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: list,
-            scene: Scene, jobs: int) -> RefinementReport:
-    """Run every (grid, TimeConfig), difference the finals of each (i, j) pair.
+            scene: Scene) -> RefinementReport:
+    """Run every (grid, TimeConfig) in order, difference the finals of each (i, j) pair.
 
     Each pair gives one row of per-species :func:`compare_fields` differences
     (the plain max-norm difference when the grids coincide); ``orders_of``
     turns one species' column of differences into its orders.
     """
-    tasks = [partial(_final_state, g, tc, scene) for g, tc in runs]
-    if jobs <= 1:
-        finals = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            finals = [f.result() for f in [pool.submit(task) for task in tasks]]
+    finals = [run_simulation(scene.initial(g), tc, scene.params, scene.coeffs,
+                             options=scene.options, diagnostics_every=0)[0] for g, tc in runs]
     errors = [
         tuple(
             compare_fields(f, g)
@@ -237,7 +224,6 @@ def temporal_order(
     grid: Grid,
     t_final: float,
     scene: Scene,
-    jobs: int = 1,
 ) -> RefinementReport:
     """Errors and orders against a fine-step reference run on the same grid.
 
@@ -255,7 +241,7 @@ def temporal_order(
     runs = [(grid, TimeConfig(dt, t_final)) for dt in (*dts, ref_dt)]
     return _refine(
         "temporal", runs, [(i, len(dts)) for i in range(len(dts))],
-        partial(convergence_orders, dts), list(dts), scene, jobs,
+        partial(convergence_orders, dts), list(dts), scene,
     )
 
 
@@ -263,7 +249,6 @@ def spatial_cauchy_order(
     hs: Sequence[float],
     t_final: float,
     scene: Scene,
-    jobs: int = 1,
 ) -> RefinementReport:
     """Cauchy refinement study over decreasing mesh sizes, with dt = h^2.
 
@@ -286,5 +271,5 @@ def spatial_cauchy_order(
     runs = [(g, TimeConfig(h * h, t_final)) for g, h in zip(grids, hs)]
     return _refine(
         "spatial", runs, [(j, j + 1) for j in range(len(hs) - 1)],
-        partial(cauchy_orders, hs), list(hs[1:]), scene, jobs,
+        partial(cauchy_orders, hs), list(hs[1:]), scene,
     )

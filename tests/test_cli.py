@@ -335,8 +335,8 @@ def test_rejects_bad_values_and_unknown_keys(tmp_path, monkeypatch, capsys, sett
 
 
 @pytest.mark.parametrize("command", ["study-time", "study-space"])
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_study_rejects_jobs_below_one(tmp_path, capsys, command, jobs):
+@pytest.mark.parametrize("jobs", ["0", "-1", "2"])
+def test_study_rejects_jobs_other_than_one(tmp_path, capsys, command, jobs):
     code = run_cli(command, "--out", str(tmp_path / "out"), "--jobs", jobs)
     assert code == 2
     err = capsys.readouterr().err
@@ -370,6 +370,21 @@ def test_positivity_failure_is_a_solver_failure(tmp_path, monkeypatch, capsys, c
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure:") and "non-positive" in err
+
+
+def test_checked_run_refuses_infinite_energy_as_a_solver_failure(tmp_path, capsys):
+    # A cell volume of 6.25e298 is finite, but <a+c,1> and the energy of
+    # a = 1e10 overflow; inf > inf + slack and |inf - inf| > tol are false.
+    code = run_cli(
+        "run", "--out", str(tmp_path / "out"), "--checked",
+        "--set", "grid.lower=[-1e150,-1e150]", "--set", "grid.upper=[1e150,1e150]",
+        "--set", "grid.n=8", "--set", "time.t_final=0.02",
+        "--set", 'initial={"kind":"uniform","a":1e10,"b":1,"c":1}',
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: energy is not finite at step 0")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_run_has_no_jobs_option(tmp_path):

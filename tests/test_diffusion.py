@@ -129,6 +129,29 @@ def test_nonconvergence_raises_with_report():
     assert report.iterations == 1
 
 
+def test_infinite_face_coefficient_is_refused():
+    # inf > 0, so only a finiteness check keeps it from an all-NaN "converged" solve.
+    g = Grid.box(2, 8)
+    u = Field(g, np.sin(2 * np.pi * g.mesh()[0]) + 2.0)
+    d = lambda x, y: np.where((x == 0.5) & (y < 0.1), np.inf, 1.0)  # noqa: E731
+    with pytest.raises(ValueError, match="not finite on a face along axis 0"):
+        step_diffusion_species(u, d, dt=0.1)
+    with pytest.raises(ValueError, match="must be finite"):
+        step_diffusion_species(u, np.inf, dt=0.1)
+
+
+def test_non_finite_residual_is_not_converged():
+    # D = 1e308 overflows the preconditioner's symbol to inf/nan, so the
+    # first residual is NaN; `while rel > tol` alone would report convergence.
+    g = Grid.box(2, 64, -1.0, 1.0)
+    u = Field(g, np.sin(np.pi * g.mesh()[0]) + 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError) as exc_info:
+            step_diffusion_species(u, 1e308, dt=0.01)
+    report = exc_info.value.report
+    assert not report.converged and np.isnan(report.final_relative_residual)
+
+
 def test_step_diffusion_three_species():
     g = Grid(2, 16, (-1.0, -1.0), (1.0, 1.0))
     rng = np.random.default_rng(36)

@@ -170,6 +170,33 @@ def test_run_simulation_monotone_energy_constant_mass():
     assert rows[-1].min_c == pytest.approx(0.3828370343822782, rel=1e-9)
 
 
+def test_checked_run_refuses_a_non_finite_conserved_mass():
+    # At a = b = c = e the energy density x (ln x - 1) is 0, so only the
+    # masses overflow on this huge (finite) cell volume.
+    g = Grid(2, 8, (-1e154, -1e154), (1e154, 1e154))
+    s = State.uniform(g, np.e, np.e, np.e)
+    with pytest.raises(AssertionError, match=r"^mass_ac is not finite at step 0: inf$"):
+        run_simulation(s, TimeConfig(0.1, 0.2), P_UNIT, COEFFS)
+    _, rows = run_simulation(s, TimeConfig(0.1, 0.2), P_UNIT, COEFFS,
+                             SolverOptions(checked=False))
+    assert rows[0].energy == 0.0 and rows[-1].mass_ac == np.inf
+
+
+def test_checked_run_names_the_mass_that_drifted(monkeypatch):
+    # Below c_inf, raising c by 1% lowers the energy: the mass check catches it.
+    solve = splitting.step_diffusion
+
+    def more_c(*args, **kwargs):
+        state, reports = solve(*args, **kwargs)
+        state.c.values *= 1.01
+        return state, reports
+
+    monkeypatch.setattr(splitting, "step_diffusion", more_c)
+    s = State.uniform(Grid(2, 8, (-1.0, -1.0), (1.0, 1.0)), 1.0, 1.0, 0.5)
+    with pytest.raises(AssertionError, match=r"^mass_ac drifted at step 1: 6\.0 -> "):
+        run_simulation(s, TimeConfig(0.1, 0.2), P_UNIT, COEFFS)
+
+
 def test_run_simulation_cadence_and_sinks():
     g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
     s = make_initial_condition(g)

@@ -165,12 +165,3 @@ def test_small_spatial_study_end_to_end():
     report = spatial_cauchy_order([0.2, 0.1, 2.0 / 30.0], 0.2, scene)
     assert report.kind == "spatial"
     assert len(report.errors) == 2 and len(report.orders) == 1
-
-
-def test_study_jobs_parallel_matches_sequential():
-    scene = benchmark_scene()
-    grid = scene.grid(16)
-    seq = temporal_order([0.05, 0.025], 0.0125, grid, 0.2, scene, jobs=1)
-    par = temporal_order([0.05, 0.025], 0.0125, grid, 0.2, scene, jobs=3)
-    assert seq.errors == par.errors
-    assert seq.orders == par.orders
