@@ -46,7 +46,6 @@ DEFAULT_TOL = 1e-10
 class LinearSolveReport:
     iterations: int
     final_relative_residual: float
-    converged: bool
 
 
 class _Workspace:
@@ -82,14 +81,19 @@ class _ImplicitDiffusionOperator:
         self.work = _Workspace(grid.shape) if work is None else work
         # Face coefficients per physical axis; floats stay floats.
         self.faces = [face_coefficient(grid, d, axis) for axis in range(grid.dim)]
-        # rfftn symbol of M: 1 + dt sum_axes (4 mean(D_face) / h^2) sin^2(pi k / N).
+        # rfftn symbol of M: 1 + sum_axes (dt 4 mean(D_face) / h^2) sin^2(pi k / N).
         n = grid.n
         self.symbol = np.ones([n] * (grid.dim - 1) + [n // 2 + 1])
         for axis, dface in enumerate(self.faces):
+            with np.errstate(over="ignore", divide="ignore"):  # refused below
+                scale = dt * 4.0 * np.mean(dface) / grid.h**2
+            if not math.isfinite(grid.dim * float(scale)):  # the symbol sums dim of them
+                raise ValueError(f"diffusion coefficient too large for the preconditioner: "
+                                 f"dt * 4 * mean(D) / h^2 = {scale:.3g} along axis {axis}")
             array_axis = grid.dim - 1 - axis
             k = np.arange(self.symbol.shape[array_axis]).reshape(
                 [-1 if i == array_axis else 1 for i in range(grid.dim)])
-            self.symbol += dt * 4.0 * np.mean(dface) / grid.h**2 * np.sin(np.pi * k / n) ** 2
+            self.symbol += scale * np.sin(np.pi * k / n) ** 2
 
     def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``v - dt * div_grad(v)``, into ``out`` (allocated when None)."""
@@ -123,19 +127,15 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
     b_norm = float(np.linalg.norm(b.ravel()))
     if b_norm == 0.0:
         x[...] = 0.0
-        return LinearSolveReport(0, 0.0, True)
+        return LinearSolveReport(0, 0.0)
     op.precondition(b, x)
     r = op.residual(b, x)
     rel = float(np.linalg.norm(r.ravel())) / b_norm
     iterations = 0
     while not rel <= tol:  # a NaN residual enters the loop, to be refused
         if iterations >= max_iter or not math.isfinite(rel):
-            report = LinearSolveReport(iterations, rel, False)
-            raise ConvergenceError(
-                f"CG stalled at relative residual {rel:.3e} after "
-                f"{iterations} iterations (tol {tol:.1e})",
-                report=report,
-            )
+            raise ConvergenceError(f"CG stalled at relative residual {rel:.3e} after "
+                                   f"{iterations} iterations (tol {tol:.1e})")
         z, p, ap = op.work.cg_vectors()
         op.precondition(r, z)
         # ap, then z once p holds it, serve as scratch for the products.
@@ -147,12 +147,16 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
             p += z
         rz = rz_next
         op.apply(p, ap)
-        alpha = rz / float(np.sum(np.multiply(p, ap, out=z)))
+        pap = float(np.sum(np.multiply(p, ap, out=z)))
+        if not (0.0 < rz < math.inf and 0.0 < pap < math.inf):  # breakdown: CG divides by both
+            raise ConvergenceError(f"CG broke down after {iterations} iterations: "
+                                   f"r.z = {rz!r}, p.Ap = {pap!r}")
+        alpha = rz / pap
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(ap, alpha, out=z)
         rel = float(np.linalg.norm(r.ravel())) / b_norm
         iterations += 1
-    return LinearSolveReport(iterations, rel, True)
+    return LinearSolveReport(iterations, rel)
 
 
 def build_operators(grid, coeffs: DiffusionCoeffs,
@@ -174,21 +178,24 @@ def step_diffusion_species(
 ) -> tuple[Field, LinearSolveReport]:
     """Implicit Euler update of one species: solve (I - dt div(D grad)) u = u*.
 
-    The solution is written into ``out`` (a new array when None).  ``op`` is
-    the operator for ``d`` and ``dt`` on u*'s grid, with its workspace; when
-    None one is built for this call.
+    The solution is written into ``out`` (a new array when None, sharing no
+    memory with u*).  ``op`` is the operator for ``d`` and ``dt`` on u*'s
+    grid, with its workspace; when None one is built for this call.
     """
     if not dt > 0.0:
         raise PositivityError(f"step_diffusion_species: dt must be positive, got {dt}")
     if not np.all(np.isfinite(u_star.values)):
         bad = int(np.flatnonzero(~np.isfinite(u_star.values.ravel()))[0])
         raise ValueError(f"u_star has a non-finite value at cell {bad}")
+    if out is not None and np.may_share_memory(out, u_star.values):
+        raise ValueError("step_diffusion_species: out must not share memory with u_star")
     if max_iter is None:
         max_iter = 10 * u_star.grid.num_cells
     if op is None:
         op = _ImplicitDiffusionOperator(u_star.grid, d, dt)
     x = np.empty_like(u_star.values) if out is None else out
-    report = _pcg(op, u_star.values, x, tol, max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):  # _pcg refuses what turns non-finite
+        report = _pcg(op, u_star.values, x, tol, max_iter)
     return Field(u_star.grid, x), report
 
 
@@ -204,7 +211,7 @@ def step_diffusion(
     """Advance all three species by implicit diffusion; time moves forward by dt.
 
     The three solves are independent; each writes its row of the new stack
-    ``out`` (a new array when None; it must not be ``state_star.u``).
+    ``out`` (a new array when None, sharing no memory with ``state_star.u``).
     ``ops`` are the operators of :func:`build_operators` for ``coeffs`` and
     ``dt``, built here when None.  The result must be strictly positive; if
     it is not, the linear tolerance is too loose for the data and a

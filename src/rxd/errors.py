@@ -8,10 +8,6 @@ class PositivityError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solve (reaction root or conjugate gradient) did not converge."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ConfigError(ValueError):
     """A run configuration failed validation."""

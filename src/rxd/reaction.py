@@ -192,19 +192,18 @@ def step_reaction(
     dt: float,
     params: ModelParams,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[State, ReactionSolveResult]:
     """Advance the reaction subproblem: a* = a - R, b* = b - R, c* = c + R.
 
     The time stamp is unchanged; the splitting driver owns time.  The
     returned state is strictly positive cellwise (guaranteed by the root
-    bracket).  Note a* + c* == a + c and b* + c* == b + c exactly, cell by
-    cell, since the same R is added and subtracted.
+    bracket).  The same R is subtracted and added, so a* + c* and b* + c*
+    keep a + c and b + c in each cell up to rounding, by 2 eps of the sum.
     """
     if not dt > 0.0:
         raise PositivityError(f"step_reaction: dt must be positive, got {dt}")
     state.require_positive("step_reaction")
-    r, iterations, max_residual = _solve_field(*state.u, dt, params, tol, max_iter)
+    r, iterations, max_residual = _solve_field(*state.u, dt, params, tol, DEFAULT_MAX_ITER)
     u = state.u.copy()
     u[:2] -= r
     u[2] += r

@@ -118,15 +118,14 @@ def write_diagnostics_csv(rows, dest: Union[str, os.PathLike, TextIO]) -> None:
     write_csv(dest, DIAGNOSTICS_HEADER, cells)
 
 
-def _state_row(state: State, params: ModelParams, step: int,
-               reaction_residual: float = 0.0,
+def _state_row(state: State, params: ModelParams, reaction_residual: float = 0.0,
                cg_iters: tuple[int, int, int] = (0, 0, 0)) -> DiagnosticsRow:
     a, b, c = state.u
     mass_ac = mean_value(Field(state.grid, a + c))
     mass_bc = mean_value(Field(state.grid, b + c))
     mins = state.min_values()
     return DiagnosticsRow(
-        step=step,
+        step=0,
         time=state.time,
         energy=discrete_energy(state, params),
         mass_ac=mass_ac,
@@ -184,13 +183,8 @@ def full_step(
     del star
     row = None
     if collect or checked:
-        row = _state_row(
-            next_state,
-            params,
-            step=0,
-            reaction_residual=reaction_residual,
-            cg_iters=tuple(r.iterations for r in reports),
-        )
+        row = _state_row(next_state, params, reaction_residual,
+                         tuple(r.iterations for r in reports))
     if checked:
         for label, before, after in (
             ("reaction stage", energy_before, energy_star),
@@ -232,7 +226,7 @@ def run_simulation(
     rows: list[DiagnosticsRow] = []
     first = row = None
     if diagnostics_every > 0 or options.checked:
-        first = row = _state_row(initial, params, step=0)
+        first = row = _state_row(initial, params)
         if options.checked:
             _check_row(row, first)
         if diagnostics_every > 0:

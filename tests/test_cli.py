@@ -387,6 +387,21 @@ def test_checked_run_refuses_infinite_energy_as_a_solver_failure(tmp_path, capsy
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("n,code,start", [
+    (8, 3, "solver failure: CG broke down after 1 iterations: r.z = 0.0"),  # M^-1 r underflows
+    (9, 3, "solver failure: CG stalled at relative residual inf"),  # A p overflows
+    (12, 2, "invalid input: diffusion coefficient too large"),  # finite per axis, not summed
+    (64, 2, "invalid input: diffusion coefficient too large for the preconditioner"),
+], ids=["breakdown", "overflow", "refused-sum", "refused"])
+def test_huge_diffusion_coefficient_ends_in_one_line(tmp_path, capsys, n, code, start):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("run", "--out", str(tmp_path / "out"), "--set", "diffusion.d_a=1e308",
+                       "--set", f"grid.n={n}") == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and len(err.strip().splitlines()) == 1
+
+
 def test_run_has_no_jobs_option(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(*fast_run_args(tmp_path, "--jobs", "1"))

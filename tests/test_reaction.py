@@ -296,6 +296,23 @@ def test_step_reaction_pointwise_conservation():
     assert np.all(np.abs((star.b.values + star.c.values) - bc) <= 2 * np.spacing(bc))
 
 
+@pytest.mark.parametrize("dt", [1e-3, 0.01, 1.0, 100.0])
+def test_step_reaction_conserves_sums_to_roundoff(dt):
+    # a* + c* = (a - R) + (c + R) rounds three times, so it is not a + c
+    # exactly: 0.3 and 0.7 with R = 0.1 give 0.9999999999999999.  The bound
+    # is |a* + c* - (a + c)| <= 2 eps (a + c); on the benchmark state about a
+    # quarter of the cells differ.  Random cells are log-uniform in [1e-12, 10].
+    assert (0.3 - 0.1) + (0.7 + 0.1) != 0.3 + 0.7
+    eps = np.finfo(float).eps
+    g = Grid.box(2, 64)
+    cells = 10.0 ** np.random.default_rng(23).uniform(-12.0, 1.0, (3,) + g.shape)
+    for s in (make_initial_condition(Grid.box(2, 256, -1.0, 1.0)), State.from_stack(g, cells, 0.0)):
+        star, _ = step_reaction(s, dt, P_UNIT)
+        for i in (0, 1):
+            total = s.u[i] + s.u[2]
+            assert np.all(np.abs((star.u[i] + star.u[2]) - total) <= 2.0 * eps * total)
+
+
 def test_step_reaction_dissipates_energy():
     rng = np.random.default_rng(22)
     g = Grid.box(2, 8)
