@@ -331,10 +331,9 @@ def cmd_run(args) -> int:
     scene = build_scene(cfg, output["checked"] if args.checked is None else args.checked)
     tc = build_time(cfg)
     initial = scene.initial(scene.grid(_section(cfg, "grid")["n"]))
-    snapshot_every = output["snapshot_every"]
-    out_dir = _out_dir(output)
 
     def on_snapshot(step: int, state: State) -> None:
+        out_dir = _out_dir(output)
         for name, f in state.species():
             write_field(f, os.path.join(out_dir, f"field_{name}_step{step}.txt"),
                         time=state.time)
@@ -342,10 +341,10 @@ def cmd_run(args) -> int:
     final, rows = run_simulation(
         initial, tc, scene.params, scene.coeffs, scene.options,
         diagnostics_every=output["diagnostics_every"],
-        snapshot_every=snapshot_every,
-        on_snapshot=on_snapshot if snapshot_every > 0 else None,
+        snapshot_every=output["snapshot_every"],
+        on_snapshot=on_snapshot,
     )
-    write_diagnostics_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
+    write_diagnostics_csv(rows, os.path.join(_out_dir(output), "diagnostics.csv"))
     summary = f"run complete: {tc.steps} steps to t={format_float(final.time)}"
     if rows:
         summary += f", energy {format_float(rows[0].energy)} -> {format_float(rows[-1].energy)}"

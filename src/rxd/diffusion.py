@@ -18,10 +18,11 @@ per species the face coefficients and the preconditioner's symbol, and one
 workspace of scratch arrays that the three species share.  The stencil,
 the residual check and the spectral solve write into the workspace (the
 FFTs through their ``out=`` arguments) and each solution goes straight into
-its row of the output stack.  These in-place forms keep the operation order
-of the plain array expressions, so they give the same bits as those would.
-The output stack may be a stack the caller no longer needs; the driver
-passes one only when no caller holds it.
+its row of the output stack; the CG iteration, which a constant coefficient
+never reaches, allocates its vectors z, p and A p per solve.  These in-place
+forms keep the operation order of the plain array expressions, so they give
+the same bits.  The output stack may be a stack the caller no longer needs;
+the driver passes one only when no caller holds it.
 
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
@@ -52,24 +53,16 @@ class _Workspace:
     """Scratch arrays for the diffusion solves of one run.
 
     ``flux`` and ``tmp`` are the stencil's scratch, ``res`` holds the
-    residual and ``spec`` the rfftn spectrum of the spectral solve; the CG
-    vectors z, p and A p are allocated on first use.  One workspace serves
-    the three species of every step in turn; no result is left in it
-    between solves.
+    residual and ``spec`` the rfftn spectrum of the spectral solve.  One
+    workspace serves the three species of every step in turn; no result is
+    left in it between solves.
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        self.shape = shape
         self.flux = np.empty(shape)
         self.tmp = np.empty(shape)
         self.res = np.empty(shape)
         self.spec = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
-        self._cg = None
-
-    def cg_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._cg is None:
-            self._cg = tuple(np.empty(self.shape) for _ in range(3))
-        return self._cg
 
 
 class _ImplicitDiffusionOperator:
@@ -136,7 +129,8 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
         if iterations >= max_iter or not math.isfinite(rel):
             raise ConvergenceError(f"CG stalled at relative residual {rel:.3e} after "
                                    f"{iterations} iterations (tol {tol:.1e})")
-        z, p, ap = op.work.cg_vectors()
+        if iterations == 0:  # z, p and A p; a constant coefficient never gets here
+            z, p, ap = (np.empty_like(x) for _ in range(3))
         op.precondition(r, z)
         # ap, then z once p holds it, serve as scratch for the products.
         rz_next = float(np.sum(np.multiply(r, z, out=ap)))

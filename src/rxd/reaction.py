@@ -138,13 +138,15 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
     cdt = params.k_minus * c * dt
     lo = -np.minimum(cdt, c) * _EDGE
     hi = np.minimum(a, b) * _EDGE
-    # The quadratic's bracketed root; q = C/B.
+    # The quadratic's bracketed root; q = C/B.  Huge rate constants overflow
+    # B; the bracket test below replaces a non-finite root with 0.
     ab_inf = params.a_inf * params.b_inf
-    big_a = ab_inf - params.c_inf * cdt
-    big_b = ab_inf * (c + cdt) + params.c_inf * cdt * (a + b)
-    q = (ab_inf * c - params.c_inf * a * b) * (cdt / big_b)
-    r = np.divide(-2.0 * q, 1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * big_a * q / big_b)),
-                  out=r_out)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        big_a = ab_inf - params.c_inf * cdt
+        big_b = ab_inf * (c + cdt) + params.c_inf * cdt * (a + b)
+        q = (ab_inf * c - params.c_inf * a * b) * (cdt / big_b)
+        r = np.divide(-2.0 * q, 1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * big_a * q / big_b)),
+                      out=r_out)
     del big_a, big_b, q
     np.copyto(r, 0.0, where=~((r > lo) & (r < hi)))
     g = _residual(r, a, b, c, cdt, params)

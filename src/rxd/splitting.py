@@ -218,9 +218,10 @@ def run_simulation(
     and the masses are verified against the initial values at every step.
 
     The diffusion operators and their workspace are built once for the
-    run.  A step writes its result into the stack of the state it started
-    from, unless a caller holds that state: the initial state and the
-    states handed to ``on_snapshot`` are never overwritten.
+    run, before the first snapshot, so a coefficient they refuse is refused
+    before any output.  A step writes its result into the stack of the
+    state it started from, unless a caller holds that state: the initial
+    state and the states handed to ``on_snapshot`` are never overwritten.
     """
     initial.require_positive("run_simulation initial state")
     rows: list[DiagnosticsRow] = []
@@ -231,11 +232,11 @@ def run_simulation(
             _check_row(row, first)
         if diagnostics_every > 0:
             rows.append(row)
+    ops = build_operators(initial.grid, coeffs, tc.dt)
     snapshots = snapshot_every > 0 and on_snapshot is not None
     if snapshots:
         on_snapshot(0, initial)
 
-    ops = build_operators(initial.grid, coeffs, tc.dt)
     state, held = initial, True
     for k in range(1, tc.steps + 1):
         want_row = diagnostics_every > 0 and (k % diagnostics_every == 0 or k == tc.steps)

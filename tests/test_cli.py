@@ -400,6 +400,7 @@ def test_huge_diffusion_coefficient_ends_in_one_line(tmp_path, capsys, n, code, 
                        "--set", f"grid.n={n}") == code
     err = capsys.readouterr().err
     assert err.startswith(start) and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_has_no_jobs_option(tmp_path):

@@ -325,17 +325,22 @@ def test_stencil_and_residual_match_roll_reference_bitwise(dim, n, kind):
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 24), (3, 7)])
 def test_in_place_cg_matches_allocating_reference_bitwise(dim, n):
     # Variable D, so CG iterates; the in-place loop keeps every operation
-    # of the allocating one.
+    # of the allocating one, also at large dt and with half the right-hand
+    # side near 1e-12 (36 to 57 iterations).
     g = Grid.box(dim, n)
     rng = np.random.default_rng(41)
-    b = rng.uniform(0.2, 1.2, g.shape)
+    smooth = rng.uniform(0.2, 1.2, g.shape)
+    tiny = np.where(rng.uniform(size=g.shape) < 0.5,
+                    1e-12 * rng.uniform(0.5, 2.0, g.shape), smooth)
     d = lambda x, *rest: 1.0 + 0.9 * np.cos(2.0 * np.pi * x)  # noqa: E731
-    out, report = step_diffusion_species(Field(g, b), d, dt=0.1, tol=1e-12)
-    op = diffusion._ImplicitDiffusionOperator(g, d, 0.1)
-    x, iterations, rel = pcg(op.apply, op.precondition, b, 1e-12)
-    assert report.iterations == iterations > 0
-    assert report.final_relative_residual == rel
-    np.testing.assert_array_equal(_bits(out.values), _bits(x))
+    for dt in (0.1, 10.0, 100.0):
+        op = diffusion._ImplicitDiffusionOperator(g, d, dt)
+        for b in (smooth, tiny):
+            out, report = step_diffusion_species(Field(g, b), d, dt=dt, tol=1e-12)
+            x, iterations, rel = pcg(op.apply, op.precondition, b, 1e-12)
+            assert report.iterations == iterations > 0
+            assert report.final_relative_residual == rel
+            np.testing.assert_array_equal(_bits(out.values), _bits(x))
 
 
 def _cosine_iterations(n: int, amplitude: float) -> int:

@@ -313,6 +313,20 @@ def test_step_reaction_conserves_sums_to_roundoff(dt):
             assert np.all(np.abs((star.u[i] + star.u[2]) - total) <= 2.0 * eps * total)
 
 
+@pytest.mark.parametrize("rate", [1e160, 1e200, 1e300])
+def test_huge_rate_constants_warn_nothing(rate):
+    # a_inf = k- = rate keeps detailed balance; B of the closed form
+    # overflows, the bracket test drops its root and Newton converges from 0.
+    # Warnings are errors here.
+    eps = np.finfo(float).eps
+    s = _benchmark_scene(8)
+    star, _ = step_reaction(s, 0.01, ModelParams(rate, 1.0, 1.0, k_plus=1.0, k_minus=rate))
+    assert np.all(star.u > 0.0)
+    for i in (0, 1):
+        total = s.u[i] + s.u[2]
+        assert np.all(np.abs((star.u[i] + star.u[2]) - total) <= 2.0 * eps * total)
+
+
 def test_step_reaction_dissipates_energy():
     rng = np.random.default_rng(22)
     g = Grid.box(2, 8)
