@@ -287,8 +287,10 @@ def discrete_energy(state: State, params: ModelParams) -> float:
     state.require_positive("discrete_energy")
     refs = (params.a_inf, params.b_inf, params.c_inf)
     total = 0.0
-    for v, ref in zip(state.u, refs):
-        total += float(np.sum(v * (np.log(v / ref) - 1.0)))
+    # an overflowing ratio (tiny x_inf) is an infinite energy, which callers refuse
+    with np.errstate(over="ignore"):
+        for v, ref in zip(state.u, refs):
+            total += float(np.sum(v * (np.log(v / ref) - 1.0)))
     return state.grid.cell_volume * total
 
 

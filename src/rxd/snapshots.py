@@ -10,9 +10,11 @@ All floats are written with 17 significant digits so a write/read round
 trip is bit-exact; :func:`format_float` is that formatter, shared by every
 text output of the package.  The value lines are exactly the bytes of
 :func:`format_float`, but values in [1e-4, 1e16) are formatted a chunk at a
-time with numpy (see :func:`_format_lines`); every other value (smaller,
+time with numpy (see :func:`_format_lines`): each value becomes a 40-byte
+row of digits from lookup tables, NUL wherever the text has no byte, and
+one ``bytes.translate`` pass deletes the NULs.  Every other value (smaller,
 larger, negative, zero, nan, inf) goes through :func:`format_float` one by
-one.
+one into its own row.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .grid import Field, Grid
 MAGIC = "rxd-field v1"
 _HEADER_KEYS = ("dim", "n", "lower", "upper", "t")
 
-# Values formatted per numpy pass; bounds the byte matrices to ~160 kB each.
+# Values formatted per numpy pass; bounds the NUL-padded rows and their bytes to 160 kB each.
 _CHUNK = 4096
 _READ_LINES = 1024  # value lines parsed per numpy pass, ~70 kB of strings
 
@@ -48,44 +50,43 @@ def _split(a):
 
 _POW10_HI, _POW10_LO = _split(_POW10)
 
-# A group of four decimal digits as the 8 bytes "d.d.d.d.", viewed as one
-# uint64, and the number of trailing zeros of the group (4 for 0000).
-# uint8 keeps the temporaries (and so the process's peak memory) small.
+# A group of four decimal digits as the 8 bytes "d\0d\0d\0d\0", viewed as one
+# uint64; entry 10000 + g has the trailing zero digits of g as NUL too (the
+# choice where every later group is 0000).  uint8 keeps the temporaries small.
 _digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, 10000).T
-_GROUP_BYTES = np.full((10000, 4, 2), ord("."), np.uint8)
-_GROUP_BYTES[:, :, 0] = _digits + ord("0")
-_GROUP_BYTES = _GROUP_BYTES.reshape(10000, 8).view(np.uint64).ravel()
-_GROUP_ZEROS = (_digits[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+_GROUP_BYTES = np.zeros((2, 10000, 4, 2), np.uint8)
+_GROUP_BYTES[:, :, :, 0] = _digits + ord("0")
+_GROUP_BYTES[1, :, :, 0] *= ~np.logical_and.accumulate(_digits[:, ::-1] == 0, axis=1)[:, ::-1]
+_GROUP_BYTES = _GROUP_BYTES.reshape(20000, 8).view(np.uint64).ravel()
 del _digits
 
-# One value is laid out in 40 bytes: "0.000", the leading digit, ".", a pad
-# byte, then the 16 other digits each followed by "." (the last by "\n").
+# One value is laid out in 40 bytes: a 5-byte prefix, the leading digit, two
+# pad bytes, then the 16 other digits each followed by a pad byte.  Every
+# byte outside the text is NUL, and one translate pass deletes them.
 _WIDTH = 40
-_PREFIX = np.frombuffer(b"0.0000.\0", np.uint64)[0]
 _DIGIT_COLUMNS = np.array([5, *range(8, 39, 2)])
+_LEAD = (np.arange(10, dtype=np.uint64) + ord("0")) << np.uint64(8 * _DIGIT_COLUMNS[0])
 
 
-def _line_mask(k: int, last: int) -> np.ndarray:
-    """The bytes of the row that make up the fixed-notation %.17g text.
+def _row(k: int, fraction: bool) -> np.ndarray:
+    """The bytes OR-ed into a row whose 17 digits d0..d16 have exponent k in [-4, 15].
 
-    The 17 digits d0..d16 have decimal exponent k in [-4, 16], and d_last is
-    the last nonzero one.  The text is "0." and -k-1 zeros when k < 0, the
-    digits up to d_last (and at least up to d_k), the "." after d_k when a
-    fraction is left, and "\\n".
+    That is "0." and -k-1 zeros when k < 0; else "0" on the columns of the
+    integer digits d0..dk (so that zeros among them are kept) and "." after
+    dk when a fraction is left; and the final "\\n".
     """
-    keep = np.zeros(_WIDTH, bool)
+    row = np.zeros(_WIDTH, np.uint8)
     if k < 0:
-        keep[:1 - k] = True
-        keep[_DIGIT_COLUMNS[:last + 1]] = True
+        row[:1 - k] = np.frombuffer(b"0.000", np.uint8)[:1 - k]
     else:
-        keep[_DIGIT_COLUMNS[:max(k, last) + 1]] = True
-        keep[_DIGIT_COLUMNS[k] + 1] = last > k
-    keep[-1] = True
-    return keep
+        row[_DIGIT_COLUMNS[:k + 1]] = ord("0")
+        row[_DIGIT_COLUMNS[k] + 1] = ord(".") * fraction
+    row[-1] = ord("\n")
+    return row
 
 
-# _LINE_MASKS[(k + 4) * 17 + last] is _line_mask(k, last).
-_LINE_MASKS = np.array([_line_mask(k, last) for k in range(-4, 17) for last in range(17)])
+# _ROWS[2 * (k + 4) + fraction] is _row(k, fraction), as 5 uint64 words.
+_ROWS = np.array([_row(k, f) for k in range(-4, 16) for f in (False, True)]).view(np.uint64)
 
 
 def format_float(x: float) -> str:
@@ -152,26 +153,29 @@ def _format_lines(x: np.ndarray) -> str:
         k[wrong] += off[wrong]
         digits[wrong] = _scaled_digits(xs[wrong], k[wrong])
 
-    words = np.empty((x.size, _WIDTH // 8), np.uint64)
-    words[:, 0] = _PREFIX
-    # trailing zero digits, summed over the groups from the right while
-    # every group so far was 0000
-    zeros = np.zeros(x.size, np.int64)
-    trailing = np.ones(x.size, bool)
+    # d0 and four 4-digit groups: one int64 division, the rest in uint32
+    high = digits // 10**8
+    low = (digits - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    lead = high // 10**8
+    high -= lead * 10**8
+    g1, g3 = high // 10**4, low // 10**4
+    groups = (g1, high - g1 * 10**4, g3, low - g3 * 10**4)
+    # A value has fraction digits exactly where it is not an integer: a
+    # non-integer x is below 2^52, so the integers next to it are doubles,
+    # and none of them shares the 17-digit text of x.
+    words = _ROWS.take(2 * (k + 4) + (np.floor(xs) != xs), axis=0)
+    words[:, 0] |= _LEAD.take(lead)
+    # the offset of the trailing-zero half while every later group is 0000
+    trailing = np.full(x.size, 10000, np.uint32)
     for j in range(4, 0, -1):
-        digits, group = np.divmod(digits, 10000)
-        words[:, j] = _GROUP_BYTES[group]
-        zeros += trailing * _GROUP_ZEROS[group]
-        trailing &= group == 0
-    buf = words.view(np.uint8)
-    buf[:, 5] += digits.astype(np.uint8)  # the leading digit, on the "0" there
-    buf[:, -1] = ord("\n")
-    mask = _LINE_MASKS[(k + 4) * 17 + (16 - zeros)]
+        group = groups[j - 1]
+        words[:, j] |= _GROUP_BYTES.take(group + trailing)
+        trailing *= group == 0
     for i in np.flatnonzero(~fast):
         line = (format_float(x[i]) + "\n").encode("ascii")
-        buf[i, :len(line)] = np.frombuffer(line, np.uint8)
-        mask[i] = np.arange(_WIDTH) < len(line)
-    return buf.ravel().compress(mask.ravel()).tobytes().decode("ascii")
+        words[i] = np.frombuffer(line.ljust(_WIDTH, b"\0"), np.uint64)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def read_field(src: Union[str, os.PathLike, TextIO]) -> tuple[Field, float]:

@@ -387,6 +387,18 @@ def test_checked_run_refuses_infinite_energy_as_a_solver_failure(tmp_path, capsy
     assert len(err.strip().splitlines()) == 1
 
 
+def test_overflowing_energy_ratio_ends_in_one_line_without_a_warning(tmp_path, capsys):
+    # b / b_inf overflows for b_inf = 5e-324 (k_minus keeps detailed balance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("run", "--out", str(tmp_path / "out"), "--set", "grid.n=8",
+                       "--set", "time.t_final=0.02", "--set", "model.b_inf=5e-324",
+                       "--set", "model.k_minus=5e-324")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "solver failure: energy is not finite at step 0: inf\n"
+
+
 @pytest.mark.parametrize("n,code,start", [
     (8, 3, "solver failure: CG broke down after 1 iterations: r.z = 0.0"),  # M^-1 r underflows
     (9, 3, "solver failure: CG stalled at relative residual inf"),  # A p overflows

@@ -118,6 +118,24 @@ def test_writer_bytes_match_format_float():
     ]
     for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7):
         inputs.append(rng.uniform(0.0, 2.0, n))
+    # m * 10^(e - d + 1) for m of d = 1..17 significant digits and every
+    # decimal exponent e of the fast range: trailing zeros in every group
+    # and on either side of the point
+    scaled = []
+    for e in range(-4, 16):
+        for d in range(1, 18):
+            m = rng.integers(10 ** (d - 1), 10 ** d, 20).astype(float)
+            scaled.append(m * 10.0 ** (e - d + 1) if e >= d - 1 else m / 10.0 ** (d - 1 - e))
+    inputs.append(np.concatenate(scaled))
+    # integers with zeros inside the integer part
+    inputs += [[120.0, 100000.0, 1.2e15, 1e15, 1010.0], np.arange(1, 5000) * 1000.0]
+    # whole chunks on the fast path only and on the per-value path only
+    fast = np.minimum(np.exp(rng.uniform(np.log(1e-4), np.log(1e16), _CHUNK)), 9e15)
+    slow = np.exp(rng.uniform(np.log(2e16), 700.0, _CHUNK))
+    slow[::2] = 1.0 / slow[::2]
+    slow[::3] *= -1.0
+    assert np.all((fast >= 1e-4) & (fast < 1e16)) and not np.any((slow >= 1e-4) & (slow < 1e16))
+    inputs += [fast, slow]
     for values in inputs:
         f = line_field(values)
         assert written_text(f, time=0.25) == reference_text(f, time=0.25)
