@@ -70,6 +70,7 @@ class _ImplicitDiffusionOperator:
 
     def __init__(self, grid, d: Coefficient, dt: float, work: Optional[_Workspace] = None):
         self.grid = grid
+        self.d = d
         self.dt = dt
         self.work = _Workspace(grid.shape) if work is None else work
         # Face coefficients per physical axis; floats stay floats.
@@ -174,7 +175,8 @@ def step_diffusion_species(
 
     The solution is written into ``out`` (a new array when None, sharing no
     memory with u*).  ``op`` is the operator for ``d`` and ``dt`` on u*'s
-    grid, with its workspace; when None one is built for this call.
+    grid, with its workspace, and any other op is refused; when None one is
+    built for this call.
     """
     if not dt > 0.0:
         raise PositivityError(f"step_diffusion_species: dt must be positive, got {dt}")
@@ -187,6 +189,9 @@ def step_diffusion_species(
         max_iter = 10 * u_star.grid.num_cells
     if op is None:
         op = _ImplicitDiffusionOperator(u_star.grid, d, dt)
+    elif (op.grid, op.d, op.dt) != (u_star.grid, d, dt):  # op would silently replace them
+        raise ValueError(f"step_diffusion_species: op was built for grid, d, dt = {op.grid}, "
+                         f"{op.d!r}, {op.dt!r}, not {u_star.grid}, {d!r}, {dt!r}")
     x = np.empty_like(u_star.values) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):  # _pcg refuses what turns non-finite
         report = _pcg(op, u_star.values, x, tol, max_iter)

@@ -1,5 +1,6 @@
-"""CLI behaviour: exit codes, file outputs, overrides, reproducibility."""
+"""CLI behaviour: the exit-code contract, file outputs, overrides, reproducibility."""
 
+import io
 import json
 import warnings
 from pathlib import Path
@@ -16,6 +17,7 @@ from rxd.cli import (
     load_config,
     main,
 )
+from rxd.errors import ConfigError
 
 
 UNIFORM = 'initial={"kind":"uniform","a":1,"b":1,"c":1}'
@@ -25,39 +27,20 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _sets(*items):
+    return [arg for item in items for arg in ("--set", item)]
+
+
 def fast_run_args(tmp_path, *extra):
     """A cheap run: 8x8 grid, 2 steps."""
-    return (
-        "run",
-        "--out", str(tmp_path / "out"),
-        "--set", "grid.n=8",
-        "--set", "time.dt=0.1",
-        "--set", "time.t_final=0.2",
-        *extra,
-    )
-
-
-def test_missing_config_names_path(tmp_path, capsys):
-    code = run_cli("run", "--config", str(tmp_path / "nope.json"))
-    assert code == 2
-    assert "nope.json" in capsys.readouterr().err
-
-
-def test_invalid_json_config(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert run_cli("run", "--config", str(path)) == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    return ("run", "--out", str(tmp_path / "out"),
+            *_sets("grid.n=8", "time.dt=0.1", "time.t_final=0.2"), *extra)
 
 
 def test_run_writes_diagnostics_csv(tmp_path):
     out = tmp_path / "out"
-    code = run_cli(
-        "run", "--out", str(out),
-        "--set", "grid.n=16",
-        "--set", "time.dt=0.02",
-        "--set", "time.t_final=0.2",
-    )
+    code = run_cli("run", "--out", str(out),
+                   *_sets("grid.n=16", "time.dt=0.02", "time.t_final=0.2"))
     assert code == 0
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert len(lines) == 1 + 11  # header + step 0 + 10 steps
@@ -74,12 +57,6 @@ def test_run_benchmark_shape_n64(tmp_path):
     assert len(lines) == 22
 
 
-def test_run_rejects_non_integer_step_count(tmp_path, capsys):
-    code = run_cli("run", "--out", str(tmp_path / "out"), "--set", "time.dt=0.013")
-    assert code == 2
-    assert "integer" in capsys.readouterr().err
-
-
 def test_run_snapshots(tmp_path):
     out = tmp_path / "out"
     code = run_cli(*fast_run_args(tmp_path, "--set", "output.snapshot_every=1"))
@@ -93,48 +70,21 @@ def test_outputs_byte_identical_across_reruns(tmp_path):
     texts = []
     for sub in ("one", "two"):
         out = tmp_path / sub
-        assert run_cli(
-            "run", "--out", str(out),
-            "--set", "grid.n=16",
-            "--set", "time.dt=0.02",
-            "--set", "time.t_final=0.1",
-            "--set", "output.snapshot_every=5",
-        ) == 0
-        texts.append(
-            (
-                (out / "diagnostics.csv").read_bytes(),
-                (out / "field_a_step5.txt").read_bytes(),
-            )
-        )
+        assert run_cli("run", "--out", str(out), *_sets(
+            "grid.n=16", "time.dt=0.02", "time.t_final=0.1", "output.snapshot_every=5")) == 0
+        texts.append(((out / "diagnostics.csv").read_bytes(),
+                      (out / "field_a_step5.txt").read_bytes()))
     assert texts[0] == texts[1]
 
 
 def test_uniform_initial_condition(tmp_path):
     out = tmp_path / "out"
-    code = run_cli(
-        "run", "--out", str(out),
-        "--set", "grid.n=8",
-        "--set", "time.dt=0.1",
-        "--set", "time.t_final=0.1",
-        "--set", 'initial={"kind":"uniform","a":1.0,"b":1.0,"c":1.0}',
-    )
+    code = run_cli("run", "--out", str(out), *_sets(
+        "grid.n=8", "time.dt=0.1", "time.t_final=0.1",
+        'initial={"kind":"uniform","a":1.0,"b":1.0,"c":1.0}'))
     assert code == 0
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert len(lines) == 3
-
-
-def test_uniform_initial_rejects_nonpositive(tmp_path, capsys):
-    code = run_cli(
-        *fast_run_args(tmp_path, "--set", 'initial={"kind":"uniform","a":-1,"b":1,"c":1}')
-    )
-    assert code == 2
-    assert "positive" in capsys.readouterr().err
-
-
-def test_unknown_initial_kind(tmp_path, capsys):
-    code = run_cli(*fast_run_args(tmp_path, "--set", "initial.kind=blob"))
-    assert code == 2
-    assert "blob" in capsys.readouterr().err
 
 
 def test_snapshot_initial_condition(tmp_path):
@@ -145,41 +95,10 @@ def test_snapshot_initial_condition(tmp_path):
         write_field(Field.full(g, level), path, time=0.0)
         paths[name] = str(path)
     out = tmp_path / "out"
-    code = run_cli(
-        "run", "--out", str(out),
-        "--set", "grid.n=8",
-        "--set", "time.dt=0.1",
-        "--set", "time.t_final=0.1",
-        "--set", f'initial={json.dumps({"kind": "snapshot", **paths})}',
-    )
+    code = run_cli("run", "--out", str(out), *_sets(
+        "grid.n=8", "time.dt=0.1", "time.t_final=0.1",
+        f'initial={json.dumps({"kind": "snapshot", **paths})}'))
     assert code == 0
-
-
-def test_snapshot_initial_grid_mismatch(tmp_path, capsys):
-    g = Grid(2, 4, (-1.0, -1.0), (1.0, 1.0))
-    path = tmp_path / "f.txt"
-    write_field(Field.full(g, 1.0), path)
-    spec = {"kind": "snapshot", "a": str(path), "b": str(path), "c": str(path)}
-    code = run_cli(*fast_run_args(tmp_path, "--set", f"initial={json.dumps(spec)}"))
-    assert code == 2
-    assert "does not match" in capsys.readouterr().err
-
-
-def test_snapshot_initial_rejects_nonpositive_values(tmp_path, capsys):
-    # A config error (2) found before the output directory exists, as for
-    # the other initial kinds; not a solver failure (3) from the run.
-    g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
-    spec = {"kind": "snapshot"}
-    for name, level in (("a", 1.0), ("b", 0.0), ("c", 1.0)):
-        path = tmp_path / f"init_{name}.txt"
-        write_field(Field.full(g, level), path)
-        spec[name] = str(path)
-    code = run_cli(*fast_run_args(tmp_path, "--set", f"initial={json.dumps(spec)}"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: initial:") and "species b" in err, err
-    assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out").exists()
 
 
 def test_cosine_diffusion_profile(tmp_path):
@@ -188,29 +107,10 @@ def test_cosine_diffusion_profile(tmp_path):
     assert code == 0
 
 
-def test_bad_diffusion_profile(tmp_path, capsys):
-    code = run_cli(*fast_run_args(tmp_path, "--set", 'diffusion.d_a={"profile":"warp"}'))
-    assert code == 2
-    assert "warp" in capsys.readouterr().err
-
-
-def test_study_time_rejects_single_dt(tmp_path, capsys):
-    code = run_cli(
-        "study-time", "--out", str(tmp_path / "out"),
-        "--set", "study_time.dts=[0.1]",
-    )
-    assert code == 2
-    assert "two step sizes" in capsys.readouterr().err
-
-
 def test_study_time_small(tmp_path, capsys):
     out = tmp_path / "out"
-    code = run_cli(
-        "study-time", "--out", str(out),
-        "--set", "study_time.n=16",
-        "--set", "study_time.dts=[0.05,0.025]",
-        "--set", "study_time.ref_dt=0.0125",
-    )
+    code = run_cli("study-time", "--out", str(out), *_sets(
+        "study_time.n=16", "study_time.dts=[0.05,0.025]", "study_time.ref_dt=0.0125"))
     assert code == 0
     lines = (out / "temporal_orders.csv").read_text().splitlines()
     assert lines[0] == "param,err_a,order_a,err_b,order_b,err_c,order_c"
@@ -224,124 +124,12 @@ def test_study_space_emits_order_rows_per_triple(tmp_path):
     # five resolutions -> four difference rows -> three order rows
     out = tmp_path / "out"
     hs = [0.2, 0.1, 2.0 / 30.0, 0.05, 0.04]  # N = 10, 20, 30, 40, 50
-    code = run_cli(
-        "study-space", "--out", str(out),
-        "--set", f"study_space.hs={json.dumps(hs)}",
-    )
+    code = run_cli("study-space", "--out", str(out), "--set", f"study_space.hs={json.dumps(hs)}")
     assert code == 0
     lines = (out / "spatial_orders.csv").read_text().splitlines()
     assert len(lines) == 5  # header + 4 difference rows
     with_order = [line for line in lines[1:] if line.split(",")[2] != ""]
     assert len(with_order) == 3
-
-
-def test_study_space_rejects_two_resolutions(tmp_path, capsys):
-    code = run_cli(
-        "study-space", "--out", str(tmp_path / "out"),
-        "--set", "study_space.hs=[0.2,0.1]",
-    )
-    assert code == 2
-    assert "three mesh sizes" in capsys.readouterr().err
-
-
-def test_study_space_rejects_scalar_grid_bound(tmp_path, capsys):
-    code = run_cli("study-space", "--out", str(tmp_path / "out"), "--set", "grid.lower=5")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "grid.lower" in err and len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("key", ["diagnostics_every", "snapshot_every"])
-def test_run_rejects_negative_output_interval(tmp_path, capsys, key):
-    code = run_cli(*fast_run_args(tmp_path, "--set", f"output.{key}=-1"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"output.{key}" in err and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out" / "diagnostics.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "command,setting",
-    [
-        ("run", "grid.dim=2.5"),
-        ("run", "grid.n=8.7"),
-        ("run", "output.diagnostics_every=1.5"),
-        ("run", "output.snapshot_every=0.5"),
-        ("run", "solver.cg_max_iter=10.5"),
-        ("run", 'grid.n="8"'),
-        ("study-time", "study_time.n=16.5"),
-    ],
-)
-def test_rejects_non_integer_counts(tmp_path, capsys, command, setting):
-    # These counts used to be truncated by int(): grid.n=8.7 ran at n = 8.
-    argv = fast_run_args(tmp_path, "--set", setting)
-    code = run_cli(command, *argv[1:])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert setting.split("=")[0] in err and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("key", ["time.dt", "model.k_plus"])
-def test_parse_error_names_its_section_once(tmp_path, capsys, key):
-    code = run_cli(*fast_run_args(tmp_path, "--set", f"{key}=abc"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key}: cannot parse 'abc'"), err
-
-
-@pytest.mark.parametrize(
-    "setting,named",
-    [
-        # must not end in a traceback
-        ("output.out_dir=5", "output.out_dir"),
-        ("study_time.dts=[0.1,null]", "study_time.dts"),
-        ("study_space.hs=[0.5,0.25,null]", "study_space.hs"),
-        ('diffusion.d_a={"profile":"cosine","base":null}', "diffusion.d_a"),
-        ("time.t_final=Infinity", "time.t_final"),
-        # must not be silently accepted
-        ("time.dtt=0.5", "time.dtt"),
-        ("grid.nn=8", "grid.nn"),
-        ("bogus.key=1", "bogus"),
-        ("diffusion.d_a=true", "diffusion.d_a"),
-        ("model.a_inf=true", "model.a_inf"),
-        ('output.checked="no"', "output.checked"),
-        ("solver.reaction_tol=-1", "reaction_tol"),
-        ("solver.cg_tol=NaN", "solver.cg_tol"),
-        # must not pass a checked run with infinite energy
-        ("grid.upper=[Infinity,1]", "grid.upper"),
-        ("model.a_inf=Infinity", "model.a_inf"),
-        # a config error (2), not a solver failure (3)
-        ("diffusion.d_a=Infinity", "diffusion.d_a"),
-        ('diffusion.d_b={"profile":"cosine","base":1e308}', "diffusion.d_b"),
-        ('diffusion.d_b={"profile":"cosine","period":1e-320}', "diffusion.d_b"),
-        # not an OverflowError traceback: h**dim overflows although h is finite
-        (("grid.lower=[-1e300,-1e300]", "grid.upper=[1e300,1e300]", UNIFORM), "grid"),
-        # not a cos(inf) warning and exit 3: 2*pi*x/period overflows on the box
-        (("grid.lower=[-1e10,-1e10]", "grid.upper=[1e10,1e10]", UNIFORM,
-          'diffusion.d_b={"profile":"cosine","period":1e-300}'), "diffusion.d_b"),
-    ],
-)
-def test_rejects_bad_values_and_unknown_keys(tmp_path, monkeypatch, capsys, setting, named):
-    monkeypatch.chdir(tmp_path)  # no --out: the configured out_dir must not appear either
-    settings = [setting] if isinstance(setting, str) else setting
-    code = run_cli("run", "--set", "grid.n=8", "--set", "time.t_final=0.02",
-                   *(arg for item in settings for arg in ("--set", item)))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and named in err, err
-    assert len(err.strip().splitlines()) == 1
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("command", ["study-time", "study-space"])
-@pytest.mark.parametrize("jobs", ["0", "-1", "2"])
-def test_study_rejects_jobs_other_than_one(tmp_path, capsys, command, jobs):
-    code = run_cli(command, "--out", str(tmp_path / "out"), "--jobs", jobs)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: --jobs") and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,settings", [
@@ -364,55 +152,9 @@ def test_positivity_failure_is_a_solver_failure(tmp_path, monkeypatch, capsys, c
         return Field(u_next.grid, values), report
 
     monkeypatch.setattr(diffusion, "step_diffusion_species", one_negative_cell)
-    argv = [command, "--out", str(tmp_path / "out")]
-    for item in settings:
-        argv += ["--set", item]
-    assert run_cli(*argv) == 3
+    assert run_cli(command, "--out", str(tmp_path / "out"), *_sets(*settings)) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure:") and "non-positive" in err
-
-
-def test_checked_run_refuses_infinite_energy_as_a_solver_failure(tmp_path, capsys):
-    # A cell volume of 6.25e298 is finite, but <a+c,1> and the energy of
-    # a = 1e10 overflow; inf > inf + slack and |inf - inf| > tol are false.
-    code = run_cli(
-        "run", "--out", str(tmp_path / "out"), "--checked",
-        "--set", "grid.lower=[-1e150,-1e150]", "--set", "grid.upper=[1e150,1e150]",
-        "--set", "grid.n=8", "--set", "time.t_final=0.02",
-        "--set", 'initial={"kind":"uniform","a":1e10,"b":1,"c":1}',
-    )
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("solver failure: energy is not finite at step 0")
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_overflowing_energy_ratio_ends_in_one_line_without_a_warning(tmp_path, capsys):
-    # b / b_inf overflows for b_inf = 5e-324 (k_minus keeps detailed balance)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run_cli("run", "--out", str(tmp_path / "out"), "--set", "grid.n=8",
-                       "--set", "time.t_final=0.02", "--set", "model.b_inf=5e-324",
-                       "--set", "model.k_minus=5e-324")
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err == "solver failure: energy is not finite at step 0: inf\n"
-
-
-@pytest.mark.parametrize("n,code,start", [
-    (8, 3, "solver failure: CG broke down after 1 iterations: r.z = 0.0"),  # M^-1 r underflows
-    (9, 3, "solver failure: CG stalled at relative residual inf"),  # A p overflows
-    (12, 2, "invalid input: diffusion coefficient too large"),  # finite per axis, not summed
-    (64, 2, "invalid input: diffusion coefficient too large for the preconditioner"),
-], ids=["breakdown", "overflow", "refused-sum", "refused"])
-def test_huge_diffusion_coefficient_ends_in_one_line(tmp_path, capsys, n, code, start):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli("run", "--out", str(tmp_path / "out"), "--set", "diffusion.d_a=1e308",
-                       "--set", f"grid.n={n}") == code
-    err = capsys.readouterr().err
-    assert err.startswith(start) and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out").exists()
 
 
 def test_run_has_no_jobs_option(tmp_path):
@@ -433,26 +175,9 @@ def test_integral_float_counts_are_accepted(tmp_path):
     assert run_cli(*fast_run_args(tmp_path, "--set", "grid.n=8.0")) == 0
 
 
-def test_snapshot_initial_time_stamps_must_agree(tmp_path, capsys):
-    g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
-    spec = {"kind": "snapshot"}
-    for name, t in (("a", 0.0), ("b", 5.0), ("c", 9.0)):
-        path = tmp_path / f"init_{name}.txt"
-        write_field(Field.full(g, 1.0), path, time=t)
-        spec[name] = str(path)
-    code = run_cli(*fast_run_args(tmp_path, "--set", f"initial={json.dumps(spec)}"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "time stamps differ" in err and len(err.strip().splitlines()) == 1
-    assert "b: t=5" in err and "c: t=9" in err
-
-
 def test_run_summary_time_does_not_drift(tmp_path, capsys):
     out = tmp_path / "out"
-    code = run_cli(
-        "run", "--out", str(out), "--set", "grid.n=8", "--set", "time.dt=0.01",
-        "--set", "time.t_final=0.2",
-    )
+    code = run_cli("run", "--out", str(out), *_sets("grid.n=8", "time.dt=0.01", "time.t_final=0.2"))
     assert code == 0
     assert "to t=0.20000000000000001," in capsys.readouterr().out
     last = (out / "diagnostics.csv").read_text().splitlines()[-1].split(",")
@@ -467,66 +192,6 @@ def test_inspect(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dim=1 n=4" in out
     assert "min=1 max=4 mean=2.5" in out
-
-
-def test_inspect_missing_file(tmp_path, capsys):
-    assert run_cli("inspect", str(tmp_path / "missing.txt")) == 4
-
-
-def test_inspect_malformed_snapshot(tmp_path, capsys):
-    path = tmp_path / "junk.txt"
-    path.write_text("not a snapshot\n")
-    assert run_cli("inspect", str(path)) == 2
-    assert "rxd-field" in capsys.readouterr().err
-
-
-def test_inspect_refuses_two_values_per_line(tmp_path, capsys):
-    path = tmp_path / "wide.txt"
-    path.write_text("rxd-field v1\ndim=2 n=2 lower=0,0 upper=1,1 t=0\n1 2\n3 4\n")
-    assert run_cli("inspect", str(path)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "one value per line" in captured.err and len(captured.err.strip().splitlines()) == 1
-
-
-_HEADER = "dim=1 n=2 lower=0 upper=1 t=0"
-
-
-@pytest.mark.parametrize("text,line", [
-    (f"{_HEADER}\n1.0\n\n2.0\n", 4),  # blank line between values
-    (f"{_HEADER}\n1.0 # c\n2.0\n", 3),  # trailing comment
-    (f"{_HEADER}\n# c\n1.0\n2.0\n", 3),  # comment line
-    (f"{_HEADER} t=5\n1.0\n2.0\n", 2),  # duplicate key
-    (f"{_HEADER}\n", 3),  # header only
-    (f"{_HEADER}\nabc\n2.0\n", 3),  # bad token
-    (f"{_HEADER} foo=1\n1.0\n2.0\n", 2),  # unknown key
-], ids=["blank-line", "trailing-comment", "comment-line", "duplicate-key", "header-only",
-        "bad-token", "unknown-key"])
-def test_inspect_refuses_malformed_snapshots(tmp_path, capsys, text, line):
-    path = tmp_path / "snap.txt"
-    path.write_text("rxd-field v1\n" + text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli("inspect", str(path)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert f"{path}:{line}: " in captured.err
-
-
-@pytest.mark.parametrize("stamp", ["inf", "nan"])
-def test_snapshot_initial_time_must_be_finite(tmp_path, capsys, stamp):
-    spec = {"kind": "snapshot"}
-    for name, f in make_initial_condition(Grid.box(2, 8, -1.0, 1.0)).species():
-        path = tmp_path / f"init_{name}.txt"
-        write_field(f, path)
-        path.write_text(path.read_text().replace("t=0\n", f"t={stamp}\n", 1))
-        spec[name] = str(path)
-    code = run_cli(*fast_run_args(tmp_path, "--set", f"initial={json.dumps(spec)}"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "malformed snapshot header" in err and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out").exists()
 
 
 def test_default_scene_is_the_benchmark_scene():
@@ -582,10 +247,231 @@ def test_apply_overrides_parses_json_values():
     cfg = apply_overrides(default_config(), ["time.dt=0.005", "initial.kind=uniform"])
     assert cfg["time"]["dt"] == 0.005
     assert cfg["initial"]["kind"] == "uniform"
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="section.key=value"):
         apply_overrides(default_config(), ["no-equals-sign"])
 
 
 def test_checked_flag_catches_nothing_on_healthy_run(tmp_path):
     assert run_cli(*fast_run_args(tmp_path, "--checked")) == 0
     assert run_cli(*fast_run_args(tmp_path, "--unchecked")) == 0
+
+
+# The CLI contract.  Bad input exits 2, a solver failure 3 and an unreadable
+# file 4, each with one stderr line and never with a traceback, a warning or
+# a stray output; valid input exits 0 with nothing on stderr.  CONTRACT holds
+# one row per input, (id, argv, files, code, fragments[, marks]), and
+# check_contract runs each in a directory holding ``files`` (name -> text).
+# An id ``name[param]`` is case ``param`` of test ``name``; an input that was
+# a separate test keeps that test's id, so its results stay comparable across
+# versions.  A new input is a new row, not a new test.
+
+_PREFIXES = {2: ("config error:", "invalid input:"), 3: ("solver failure:",), 4: ("i/o error:",)}
+
+
+def check_contract(tmp_path, monkeypatch, capsys, argv, files, code, fragments):
+    """Run ``rxd argv`` in tmp_path, with ``files`` written there, and check the contract.
+
+    The run exits ``code`` and warns nothing.  Code 0 leaves stderr empty.  A
+    refusal prints nothing on stdout and one stderr line that starts with its
+    code's prefix, and adds nothing to tmp_path.  Each of ``fragments`` is in
+    stderr; a fragment that starts with a prefix must start stderr.
+    """
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    entries = sorted(tmp_path.iterdir())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (got, [str(w.message) for w in caught]) == (code, []), err
+    if code == 0:
+        assert err == ""
+        return
+    prefixes = _PREFIXES[code]
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(prefixes), err
+    assert sorted(tmp_path.iterdir()) == entries
+    for fragment in fragments:
+        assert err.startswith(fragment) if fragment.startswith(prefixes) else fragment in err, err
+
+
+def _snapshots(fields, times=(0.0, 0.0, 0.0)):
+    """Files init_a.txt, init_b.txt and init_c.txt holding ``fields`` stamped ``times``."""
+    texts = [io.StringIO() for _ in fields]
+    for f, t, buf in zip(fields, times, texts):
+        write_field(f, buf, time=t)
+    return {f"init_{name}.txt": buf.getvalue() for name, buf in zip("abc", texts)}
+
+
+def _uniform(*levels, n=8):
+    return [Field.full(Grid.box(2, n, -1.0, 1.0), level) for level in levels]
+
+
+_RUN = ["run", "--out", "out", *_sets("grid.n=8", "time.dt=0.1", "time.t_final=0.2")]  # 2 steps
+_SNAPSHOT_RUN = [*_RUN, "--set", "initial=" + json.dumps(
+    {"kind": "snapshot", **{name: f"init_{name}.txt" for name in "abc"}})]
+_PAPER_FIELDS = [f for _, f in make_initial_condition(Grid.box(2, 8, -1.0, 1.0)).species()]
+_HEADER = "rxd-field v1\ndim=1 n=2 lower=0 upper=1 t=0"
+_ITEM_5 = pytest.mark.xfail(strict=True, reason="ROADMAP item 5: k_minus*c*dt is subnormal, so "
+                            "the reaction warns and stalls with exit 3 on valid input")
+
+_BAD_VALUES = [  # (settings, the name stderr gives) for a run in tmp_path without --out
+    # must not end in a traceback
+    ("output.out_dir=5", "output.out_dir"), ("study_time.dts=[0.1,null]", "study_time.dts"),
+    ("study_space.hs=[0.5,0.25,null]", "study_space.hs"),
+    ('diffusion.d_a={"profile":"cosine","base":null}', "diffusion.d_a"),
+    ("time.t_final=Infinity", "time.t_final"),
+    # must not be silently accepted
+    ("time.dtt=0.5", "time.dtt"), ("grid.nn=8", "grid.nn"), ("bogus.key=1", "bogus"),
+    ("diffusion.d_a=true", "diffusion.d_a"), ("model.a_inf=true", "model.a_inf"),
+    ('output.checked="no"', "output.checked"), ("solver.reaction_tol=-1", "reaction_tol"),
+    ("solver.cg_tol=NaN", "solver.cg_tol"),
+    # must not pass a checked run with infinite energy
+    ("grid.upper=[Infinity,1]", "grid.upper"), ("model.a_inf=Infinity", "model.a_inf"),
+    # a config error (2), not a solver failure (3)
+    ("diffusion.d_a=Infinity", "diffusion.d_a"),
+    ('diffusion.d_b={"profile":"cosine","base":1e308}', "diffusion.d_b"),
+    ('diffusion.d_b={"profile":"cosine","period":1e-320}', "diffusion.d_b"),
+    # not an OverflowError traceback: h**dim overflows although h is finite
+    (("grid.lower=[-1e300,-1e300]", "grid.upper=[1e300,1e300]", UNIFORM), "grid"),
+    # not a cos(inf) warning and exit 3: 2*pi*x/period overflows on the box
+    (("grid.lower=[-1e10,-1e10]", "grid.upper=[1e10,1e10]", UNIFORM,
+      'diffusion.d_b={"profile":"cosine","period":1e-300}'), "diffusion.d_b"),
+]
+
+CONTRACT = [
+    ("test_missing_config_names_path", ["run", "--config", "nope.json"], {}, 2, ["nope.json"]),
+    ("test_invalid_json_config", ["run", "--config", "bad.json"], {"bad.json": "{not json"}, 2,
+     ["not valid JSON"]),
+    ("test_run_rejects_non_integer_step_count", ["run", "--out", "out", "--set", "time.dt=0.013"],
+     {}, 2, ["integer"]),
+    ("test_uniform_initial_rejects_nonpositive",
+     [*_RUN, "--set", 'initial={"kind":"uniform","a":-1,"b":1,"c":1}'], {}, 2, ["positive"]),
+    ("test_unknown_initial_kind", [*_RUN, "--set", "initial.kind=blob"], {}, 2, ["blob"]),
+    ("test_bad_diffusion_profile", [*_RUN, "--set", 'diffusion.d_a={"profile":"warp"}'], {}, 2,
+     ["warp"]),
+    ("test_snapshot_initial_grid_mismatch", _SNAPSHOT_RUN, _snapshots(_uniform(1, 1, 1, n=4)), 2,
+     ["does not match"]),
+    # a config error (2) before the output directory exists, not a solver failure (3)
+    ("test_snapshot_initial_rejects_nonpositive_values", _SNAPSHOT_RUN,
+     _snapshots(_uniform(1, 0, 1)), 2, ["config error: initial:", "species b"]),
+    ("test_snapshot_initial_time_stamps_must_agree", _SNAPSHOT_RUN,
+     _snapshots(_uniform(1, 1, 1), (0.0, 5.0, 9.0)), 2,
+     ["time stamps differ", "b: t=5", "c: t=9"]),
+    *((f"test_snapshot_initial_time_must_be_finite[{t}]", _SNAPSHOT_RUN,
+       _snapshots(_PAPER_FIELDS, [float(t)] * 3), 2, ["malformed snapshot header"])
+      for t in ("inf", "nan")),
+    ("test_study_time_rejects_single_dt",
+     ["study-time", "--out", "out", "--set", "study_time.dts=[0.1]"], {}, 2, ["two step sizes"]),
+    ("test_study_space_rejects_two_resolutions",
+     ["study-space", "--out", "out", "--set", "study_space.hs=[0.2,0.1]"], {}, 2,
+     ["three mesh sizes"]),
+    ("test_study_space_rejects_scalar_grid_bound",
+     ["study-space", "--out", "out", "--set", "grid.lower=5"], {}, 2, ["grid.lower"]),
+    *((f"test_run_rejects_negative_output_interval[{key}]", [*_RUN, "--set", f"output.{key}=-1"],
+       {}, 2, [f"output.{key}"]) for key in ("diagnostics_every", "snapshot_every")),
+    # these counts used to be truncated by int(): grid.n=8.7 ran at n = 8
+    *((f"test_rejects_non_integer_counts[{command}-{setting}]",
+       [command, *_RUN[1:], "--set", setting], {}, 2, [setting.split("=")[0]])
+      for command, setting in [*(("run", s) for s in (
+          "grid.dim=2.5", "grid.n=8.7", "output.diagnostics_every=1.5",
+          "output.snapshot_every=0.5", "solver.cg_max_iter=10.5", 'grid.n="8"')),
+          ("study-time", "study_time.n=16.5")]),
+    *((f"test_parse_error_names_its_section_once[{key}]", [*_RUN, "--set", f"{key}=abc"], {}, 2,
+       [f"config error: {key}: cannot parse 'abc'"]) for key in ("time.dt", "model.k_plus")),
+    *((f"test_rejects_bad_values_and_unknown_keys"
+       f"[{setting if isinstance(setting, str) else f'setting{i}'}-{named}]",
+       ["run", *_sets("grid.n=8", "time.t_final=0.02",
+                      *([setting] if isinstance(setting, str) else setting))],
+       {}, 2, ["config error:", named]) for i, (setting, named) in enumerate(_BAD_VALUES)),
+    *((f"test_study_rejects_jobs_other_than_one[{jobs}-{command}]",
+       [command, "--out", "out", "--jobs", jobs], {}, 2, ["config error: --jobs"])
+      for jobs in ("0", "-1", "2") for command in ("study-time", "study-space")),
+    # a cell volume of 6.25e298 is finite, but <a+c,1> and the energy of
+    # a = 1e10 overflow; inf > inf + slack and |inf - inf| > tol are false
+    ("test_checked_run_refuses_infinite_energy_as_a_solver_failure",
+     ["run", "--out", "out", "--checked", *_sets(
+         "grid.lower=[-1e150,-1e150]", "grid.upper=[1e150,1e150]", "grid.n=8",
+         "time.t_final=0.02", 'initial={"kind":"uniform","a":1e10,"b":1,"c":1}')],
+     {}, 3, ["solver failure: energy is not finite at step 0"]),
+    # b / b_inf overflows for b_inf = 5e-324 (k_minus keeps detailed balance)
+    ("test_overflowing_energy_ratio_ends_in_one_line_without_a_warning",
+     ["run", "--out", "out", *_sets("grid.n=8", "time.t_final=0.02", "model.b_inf=5e-324",
+                                    "model.k_minus=5e-324")],
+     {}, 3, ["solver failure: energy is not finite at step 0: inf\n"]),
+    *((f"test_huge_diffusion_coefficient_ends_in_one_line[{case}]",
+       ["run", "--out", "out", *_sets("diffusion.d_a=1e308", f"grid.n={n}")], {}, code, [start])
+      for case, n, code, start in [
+          ("breakdown", 8, 3, "solver failure: CG broke down after 1 iterations: r.z = 0.0"),
+          ("overflow", 9, 3, "solver failure: CG stalled at relative residual inf"),
+          ("refused-sum", 12, 2, "invalid input: diffusion coefficient too large"),
+          ("refused", 64, 2, "invalid input: diffusion coefficient too large for the "
+                             "preconditioner")]),
+    ("test_inspect_missing_file", ["inspect", "missing.txt"], {}, 4, ["missing.txt"]),
+    ("test_inspect_malformed_snapshot", ["inspect", "junk.txt"], {"junk.txt": "not a snapshot\n"},
+     2, ["rxd-field"]),
+    ("test_inspect_refuses_two_values_per_line", ["inspect", "wide.txt"],
+     {"wide.txt": "rxd-field v1\ndim=2 n=2 lower=0,0 upper=1,1 t=0\n1 2\n3 4\n"}, 2,
+     ["one value per line"]),
+    *((f"test_inspect_refuses_malformed_snapshots[{case}]", ["inspect", "snap.txt"],
+       {"snap.txt": text}, 2, [f"snap.txt:{line}: "]) for case, text, line in [
+          ("blank-line", f"{_HEADER}\n1.0\n\n2.0\n", 4),
+          ("trailing-comment", f"{_HEADER}\n1.0 # c\n2.0\n", 3),
+          ("comment-line", f"{_HEADER}\n# c\n1.0\n2.0\n", 3),
+          ("duplicate-key", f"{_HEADER} t=5\n1.0\n2.0\n", 2),
+          ("header-only", f"{_HEADER}\n", 3),
+          ("bad-token", f"{_HEADER}\nabc\n2.0\n", 3),
+          ("unknown-key", f"{_HEADER} foo=1\n1.0\n2.0\n", 2)]),
+    # refusal paths that no other test reaches
+    ("test_cli_contract[cosine-unknown-key]",
+     [*_RUN, "--set", 'diffusion.d_a={"profile":"cosine","width":1}'], {}, 2,
+     ["diffusion.d_a", "a cosine profile takes base, amplitude, period"]),
+    ("test_cli_contract[cosine-amplitude-1]",
+     [*_RUN, "--set", 'diffusion.d_a={"profile":"cosine","amplitude":1}'], {}, 2,
+     ["diffusion.d_a", "|amplitude| < 1"]),
+    ("test_cli_contract[config-json-array]", ["run", "--config", "list.json"],
+     {"list.json": "[1, 2]"}, 2, ["config file list.json must hold a JSON object"]),
+    ("test_cli_contract[set-inside-a-value]", [*_RUN, "--set", "time.dt.x=1"], {}, 2,
+     ["--set time.dt.x: 'dt' is not a section"]),
+    ("test_cli_contract[set-section-to-a-number]", [*_RUN, "--set", "grid=3"], {}, 2,
+     ["missing or malformed config section 'grid'"]),
+    ("test_cli_contract[set-section-empty]", [*_RUN, "--set", "grid={}"], {}, 2,
+     ["grid.dim is required"]),
+    ("test_cli_contract[paper-2d-off-its-box]",
+     [*_RUN, *_sets("grid.lower=[0,0]", "grid.upper=[1,1]")], {}, 2,
+     ["config error: initial:", "(-1, 1)^2"]),
+    ("test_cli_contract[snapshot-missing]", _SNAPSHOT_RUN, {}, 2,
+     ["initial.a: snapshot not found: init_a.txt"]),
+    ("test_cli_contract[repeated-mesh-size]",
+     ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.5,0.25]"], {}, 2,
+     ["repeated mesh sizes"]),
+    # valid inputs that break the contract today
+    ("test_cli_contract[subnormal-rates]",
+     ["run", *_sets("grid.n=8", "time.t_final=0.02", "model.k_plus=1e-308",
+                    "model.k_minus=1e-308")], {}, 0, [], _ITEM_5),
+    ("test_cli_contract[subnormal-dt]",
+     ["run", *_sets("grid.n=8", "time.dt=1e-320", "time.t_final=1e-319")], {}, 0, [], _ITEM_5),
+]
+
+
+def _contract_test(rows):
+    """check_contract over (param, row) pairs; a lone row without a param gets a plain test."""
+    if rows[0][0] is None:
+        (_, row), = rows
+
+        def test(tmp_path, monkeypatch, capsys):
+            check_contract(tmp_path, monkeypatch, capsys, *row)
+        return test
+
+    @pytest.mark.parametrize("row", [pytest.param(row[:4], marks=row[4:], id=param)
+                                     for param, row in rows])
+    def test(tmp_path, monkeypatch, capsys, row):
+        check_contract(tmp_path, monkeypatch, capsys, *row)
+    return test
+
+
+_GROUPS = {}
+for _id, *_row in CONTRACT:
+    _name, _bracket, _param = _id.partition("[")
+    _GROUPS.setdefault(_name, []).append((_param[:-1] if _bracket else None, _row))
+globals().update((name, _contract_test(rows)) for name, rows in _GROUPS.items())

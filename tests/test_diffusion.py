@@ -185,6 +185,40 @@ def test_output_buffer_must_not_alias_the_input():
     np.testing.assert_array_equal(out.u, expected.u)
 
 
+def test_operators_built_for_other_arguments_are_refused():
+    # step_diffusion_species solved with op's dt and faces: operators for
+    # dt = 1 gave a state 0.55 off the dt = 0.01 step, stamped t = 0.01.
+    g = Grid.box(2, 16, -1.0, 1.0)
+    s = make_initial_condition(g)
+    coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
+    expected, _ = step_diffusion(s, coeffs, 0.01)
+    out, _ = step_diffusion(s, coeffs, 0.01, ops=diffusion.build_operators(g, coeffs, 0.01))
+    np.testing.assert_array_equal(out.u, expected.u)
+    for ops in (diffusion.build_operators(g, coeffs, 1.0),
+                diffusion.build_operators(g, DiffusionCoeffs(0.5, 1.0, 0.1), 0.01),
+                diffusion.build_operators(Grid.box(2, 16), coeffs, 0.01)):
+        with pytest.raises(ValueError, match=r"op was built for grid, d, dt = .*, not "):
+            step_diffusion(s, coeffs, 0.01, ops=ops)
+
+
+def test_zero_right_hand_side_is_solved_without_iterations():
+    x, report = step_diffusion_species(Field.full(Grid.box(2, 8), 0.0), 1.0, dt=0.1)
+    np.testing.assert_array_equal(x.values, 0.0)
+    assert (report.iterations, report.final_relative_residual) == (0, 0.0)
+
+
+def test_step_diffusion_species_refuses_bad_input():
+    g = Grid.box(2, 8)
+    u = Field.full(g, 1.0)
+    for dt in (0.0, -0.1, float("nan")):
+        with pytest.raises(PositivityError, match="dt must be positive"):
+            step_diffusion_species(u, 1.0, dt=dt)
+    values = np.ones(g.shape)
+    values.flat[11] = np.inf
+    with pytest.raises(ValueError, match="non-finite value at cell 11"):
+        step_diffusion_species(Field(g, values), 1.0, dt=0.1)
+
+
 def test_cg_breakdown_raises_instead_of_dividing():
     # An operator that is not positive definite makes p.Ap negative at once.
     g = Grid.box(1, 16)

@@ -54,6 +54,9 @@ def test_rejects_nonpositive_inputs():
         solve_reaction_cell(-1.0, 1.0, 1.0, 0.1, P_UNIT)
     with pytest.raises(PositivityError):
         solve_reaction_cell(1.0, 1.0, 1.0, -0.1, P_UNIT)
+    for dt in (0.0, -0.1, float("nan")):
+        with pytest.raises(PositivityError, match="step_reaction: dt must be positive"):
+            step_reaction(State.uniform(Grid.box(2, 4), 1.0, 1.0, 1.0), dt, P_UNIT)
 
 
 def test_iteration_cap_reports_cell_data():

@@ -100,8 +100,10 @@ def test_compare_fields_fourth_order_on_smooth_periodic_data():
 def test_compare_fields_rejects_mismatched_domains():
     f = Field.full(Grid.box(2, 8, 0.0, 1.0), 1.0)
     g = Field.full(Grid.box(2, 12, -1.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cover different domains"):
         compare_fields(f, g)
+    with pytest.raises(ValueError, match="cover different domains"):
+        compare_fields(f, Field.full(Grid.box(1, 8, 0.0, 1.0), 1.0))
 
 
 def test_refinement_report_validation_and_csv():
