@@ -306,9 +306,6 @@ def build_scene(cfg: dict, checked: bool) -> Scene:
 
 def _prepare(args) -> dict:
     """The merged config, every section checked; unknown sections are refused."""
-    if getattr(args, "jobs", 1) != 1:
-        raise ConfigError(f"--jobs must be 1, got {args.jobs}: studies run their resolutions "
-                          "in order; the option stays only until the benchmark stops passing it")
     cfg = apply_overrides(load_config(args.config), args.set or [])
     for name in cfg:
         if name not in _CONFIG:
@@ -398,8 +395,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="skip per-step invariant verification")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals raise ConfigError, which main prints as one line; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rxd",
         description="Operator-splitting solver for the A + B <=> C reaction-diffusion system",
     )
@@ -413,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         _add_common(p)
         if func is not cmd_run:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=int, choices=[1], default=1,
                            help="must be 1 (studies run their resolutions in order); the option "
                                 "stays only until the benchmark stops passing it")
         p.set_defaults(func=func)
@@ -426,9 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

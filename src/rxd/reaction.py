@@ -49,7 +49,7 @@ BLOCK = 16384
 
 # Shrink factor keeping bracket endpoints strictly inside the singularities.
 _EDGE = 1.0 - 1e-15
-_EPS = float(np.finfo(float).eps)
+_TINY = float(np.nextafter(0.0, 1.0))
 
 
 def _residual(r, a, b, c, cdt, p: ModelParams):
@@ -62,9 +62,18 @@ def _residual(r, a, b, c, cdt, p: ModelParams):
     )
 
 
-def _slope(r, a, b, c, cdt):
-    """G'(R) > 0 on the bracket."""
-    return 1.0 / (r + cdt) + 1.0 / (a - r) + 1.0 / (b - r) + 1.0 / (c + r)
+def _newton_step(g, r, a, b, c, cdt):
+    """G(R) / G'(R), where G' = sum of 1/d over the four distances d > 0 to the
+    singularities; scaled by the nearest d, so a subnormal one cannot overflow."""
+    d = (r + cdt, a - r, b - r, c + r)
+    m = np.min(d, axis=0)
+    return g * m / sum(m / x for x in d)
+
+
+def _fold(point, g, lo, hi):
+    """The bracket (lo, hi) narrowed by the sign of G at ``point``."""
+    return (np.where(g < 0.0, np.maximum(lo, point), lo),
+            np.where(g >= 0.0, np.minimum(hi, point), hi))
 
 
 def solve_reaction_cell(
@@ -129,13 +138,16 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
 
     Solves one block of flat cells in place in ``r_out``, adds the per-cell
     Newton counts to ``iterations`` and returns the largest accepted |G|.
-    Converges per cell when |G(R)| <= tol, or when the sign-change bracket
-    has collapsed to machine width (near the logarithmic singularities the
-    residual cannot be evaluated below roundoff, but the root itself is
-    then resolved to the last ulp).  A stalled cell is reported by its
+    Converges per cell when |G(R)| <= tol, or when no double lies strictly
+    inside the sign-change bracket (near the logarithmic singularities, or
+    where k- c dt is subnormal, G cannot be resolved to tol, but the root
+    itself is then resolved to the last ulp).  A stalled cell is reported by its
     index in the field: the block's ``offset`` plus its index in the block.
     """
+    # k- c dt underflows to 0 for dt near 5e-324; its nearest positive double
+    # keeps G defined and moves R by less than the last bit of a, b and c.
     cdt = params.k_minus * c * dt
+    np.maximum(cdt, _TINY, out=cdt)
     lo = -np.minimum(cdt, c) * _EDGE
     hi = np.minimum(a, b) * _EDGE
     # The quadratic's bracketed root; q = C/B.  Huge rate constants overflow
@@ -150,20 +162,33 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
     del big_a, big_b, q
     np.copyto(r, 0.0, where=~((r > lo) & (r < hi)))
     g = _residual(r, a, b, c, cdt, params)
-    active = np.ones(a.shape, dtype=bool)
-    for _ in range(max_iter):
-        width_ok = (hi - lo) <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
-        active &= ~((np.abs(g) <= tol) | width_ok)
-        if not active.any():
-            break
-        go_lo = active & (g < 0.0)
-        lo = np.where(go_lo, r, lo)
-        hi = np.where(active & (g >= 0.0), r, hi)
-        cand = r - g / _slope(r, a, b, c, cdt)
-        step = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
-        np.copyto(r, step, where=active)
-        iterations += active
-        g = np.where(active, _residual(r, a, b, c, cdt, params), g)
+    active = ~(np.abs(g) <= tol)
+    if active.any():
+        # G(R) = ln(1 + R/cdt) + H(R) with H increasing and H(0) = G(0), so
+        # the root lies between 0 and cdt expm1(-G(0)).  The signs of G at 0,
+        # at twice that bound and at the closed form bracket it at its own
+        # scale, which lies up to 1e300 below min(a, b) when cdt is
+        # subnormal: too far to bisect.
+        g0 = _residual(0.0, a, b, c, cdt, params)
+        with np.errstate(over="ignore"):
+            far = 2.0 * cdt * np.expm1(-g0)
+        far = np.where((far > lo) & (far < hi), far, 0.0)
+        for point, g_point in ((0.0, g0), (far, _residual(far, a, b, c, cdt, params)), (r, g)):
+            lo, hi = _fold(point, g_point, lo, hi)
+        for _ in range(max_iter):
+            active &= ~((np.abs(g) <= tol) | (np.nextafter(lo, hi) >= hi))
+            if not active.any():
+                break
+            mid = 0.5 * (lo + hi)
+            cand = r - _newton_step(g, r, a, b, c, cdt)
+            # A step below half an ulp moves one ulp toward the root, where the
+            # sign of G then closes the bracket.
+            cand = np.where(cand == r, np.nextafter(r, mid), cand)
+            step = np.where((cand > lo) & (cand < hi), cand, mid)
+            np.copyto(r, step, where=active)
+            iterations += active
+            g = np.where(active, _residual(r, a, b, c, cdt, params), g)
+            lo, hi = _fold(r, g, lo, hi)
     if active.any():
         cell = int(np.flatnonzero(active)[0])
         flat = lambda arr: float(np.broadcast_to(arr, a.shape)[cell])  # noqa: E731

@@ -157,10 +157,15 @@ def test_positivity_failure_is_a_solver_failure(tmp_path, monkeypatch, capsys, c
     assert err.startswith("solver failure:") and "non-positive" in err
 
 
-def test_run_has_no_jobs_option(tmp_path):
+@pytest.mark.parametrize("argv,usage", [(["--help"], "usage: rxd ["),
+                                        (["run", "--help"], "usage: rxd run [")])
+def test_help_exits_zero_with_usage_on_stdout(capsys, argv, usage):
+    # argparse leaves --help through SystemExit(0); its refusals are config
+    # errors, and help must not become one of them.
     with pytest.raises(SystemExit) as exc:
-        run_cli(*fast_run_args(tmp_path, "--jobs", "1"))
-    assert exc.value.code == 2
+        run_cli(*argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "") and out.startswith(usage), out
 
 
 def test_benchmark_config_file_is_the_defaults():
@@ -259,7 +264,7 @@ def test_checked_flag_catches_nothing_on_healthy_run(tmp_path):
 # The CLI contract.  Bad input exits 2, a solver failure 3 and an unreadable
 # file 4, each with one stderr line and never with a traceback, a warning or
 # a stray output; valid input exits 0 with nothing on stderr.  CONTRACT holds
-# one row per input, (id, argv, files, code, fragments[, marks]), and
+# one row per input, (id, argv, files, code, fragments), and
 # check_contract runs each in a directory holding ``files`` (name -> text).
 # An id ``name[param]`` is case ``param`` of test ``name``; an input that was
 # a separate test keeps that test's id, so its results stay comparable across
@@ -312,8 +317,6 @@ _SNAPSHOT_RUN = [*_RUN, "--set", "initial=" + json.dumps(
     {"kind": "snapshot", **{name: f"init_{name}.txt" for name in "abc"}})]
 _PAPER_FIELDS = [f for _, f in make_initial_condition(Grid.box(2, 8, -1.0, 1.0)).species()]
 _HEADER = "rxd-field v1\ndim=1 n=2 lower=0 upper=1 t=0"
-_ITEM_5 = pytest.mark.xfail(strict=True, reason="ROADMAP item 5: k_minus*c*dt is subnormal, so "
-                            "the reaction warns and stalls with exit 3 on valid input")
 
 _BAD_VALUES = [  # (settings, the name stderr gives) for a run in tmp_path without --out
     # must not end in a traceback
@@ -384,8 +387,23 @@ CONTRACT = [
        ["run", *_sets("grid.n=8", "time.t_final=0.02",
                       *([setting] if isinstance(setting, str) else setting))],
        {}, 2, ["config error:", named]) for i, (setting, named) in enumerate(_BAD_VALUES)),
+    # argparse's refusals: one config error line, like every other refusal
+    ("test_run_has_no_jobs_option", [*_RUN, "--jobs", "1"], {}, 2,
+     ["config error: unrecognized arguments: --jobs 1"]),
+    *((f"test_cli_contract[unknown-option-{command}]", [command, *rest, "--bogus"], {}, 2,
+       ["config error: unrecognized arguments: --bogus"])
+      for command, rest in (("study-time", []), ("study-space", []), ("inspect", ["snap.txt"]))),
+    ("test_cli_contract[missing-subcommand]", [], {}, 2,
+     ["config error: the following arguments are required: command"]),
+    ("test_cli_contract[unknown-subcommand]", ["bogus"], {}, 2,
+     ["config error: argument command: invalid choice: 'bogus'"]),
+    ("test_cli_contract[inspect-without-path]", ["inspect"], {}, 2,
+     ["config error: the following arguments are required: snapshot"]),
+    ("test_cli_contract[jobs-not-an-integer]", ["study-time", "--out", "out", "--jobs", "x"], {},
+     2, ["config error: argument --jobs: invalid int value: 'x'"]),
     *((f"test_study_rejects_jobs_other_than_one[{jobs}-{command}]",
-       [command, "--out", "out", "--jobs", jobs], {}, 2, ["config error: --jobs"])
+       [command, "--out", "out", "--jobs", jobs], {}, 2,
+       [f"config error: argument --jobs: invalid choice: {jobs}"])
       for jobs in ("0", "-1", "2") for command in ("study-time", "study-space")),
     # a cell volume of 6.25e298 is finite, but <a+c,1> and the energy of
     # a = 1e10 overflow; inf > inf + slack and |inf - inf| > tol are false
@@ -445,12 +463,15 @@ CONTRACT = [
     ("test_cli_contract[repeated-mesh-size]",
      ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.5,0.25]"], {}, 2,
      ["repeated mesh sizes"]),
-    # valid inputs that break the contract today
+    # valid inputs where k_minus*c*dt is subnormal or underflows to 0: the
+    # reaction used to warn and stall with exit 3
     ("test_cli_contract[subnormal-rates]",
      ["run", *_sets("grid.n=8", "time.t_final=0.02", "model.k_plus=1e-308",
-                    "model.k_minus=1e-308")], {}, 0, [], _ITEM_5),
+                    "model.k_minus=1e-308")], {}, 0, []),
     ("test_cli_contract[subnormal-dt]",
-     ["run", *_sets("grid.n=8", "time.dt=1e-320", "time.t_final=1e-319")], {}, 0, [], _ITEM_5),
+     ["run", *_sets("grid.n=8", "time.dt=1e-320", "time.t_final=1e-319")], {}, 0, []),
+    ("test_cli_contract[underflowing-dt]",
+     ["run", *_sets("grid.n=8", "time.dt=5e-324", "time.t_final=1e-322")], {}, 0, []),
 ]
 
 
@@ -463,8 +484,7 @@ def _contract_test(rows):
             check_contract(tmp_path, monkeypatch, capsys, *row)
         return test
 
-    @pytest.mark.parametrize("row", [pytest.param(row[:4], marks=row[4:], id=param)
-                                     for param, row in rows])
+    @pytest.mark.parametrize("row", [pytest.param(row, id=param) for param, row in rows])
     def test(tmp_path, monkeypatch, capsys, row):
         check_contract(tmp_path, monkeypatch, capsys, *row)
     return test

@@ -330,6 +330,23 @@ def test_huge_rate_constants_warn_nothing(rate):
         assert np.all(np.abs((star.u[i] + star.u[2]) - total) <= 2.0 * eps * total)
 
 
+@pytest.mark.parametrize("k,dt", [(1e-308, 0.01), (1.0, 1e-320), (1e-300, 1e-20)])
+def test_subnormal_rate_times_dt_resolves_the_root(k, dt):
+    # k- c dt ~ 1e-311 or 1e-321 puts the root ~1e300 below min(a, b), where
+    # bisection from the domain's ends stalled and 1/(R + k- c dt) overflowed.
+    # There R << a, b, c, so R = k- c dt expm1(-G(0)) up to the subnormal
+    # spacing, which also keeps |G| above tol.  Warnings are errors here.
+    s = _benchmark_scene(16)
+    a, b, c = s.u
+    _, result = step_reaction(s, dt, ModelParams(1.0, 1.0, 1.0, k_plus=k, k_minus=k))
+    r, cdt = result.r.values, k * c * dt
+    assert np.all(cdt < np.finfo(float).tiny) and np.all(cdt > 0.0)
+    assert np.all(r > -np.minimum(cdt, c)) and np.all(r < np.minimum(a, b))
+    assert np.all(a - r > 0.0) and np.all(b - r > 0.0) and np.all(c + r > 0.0)
+    np.testing.assert_allclose(r, cdt * np.expm1(np.log(a * b / c)), rtol=1e-9, atol=2e-323)
+    assert result.iterations.max() <= 2
+
+
 def test_step_reaction_dissipates_energy():
     rng = np.random.default_rng(22)
     g = Grid.box(2, 8)
