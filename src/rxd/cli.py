@@ -225,11 +225,10 @@ def _section(cfg: dict, name: str) -> dict:
     return parsed
 
 
-def _build(ctor, name: str, cfg: dict, **extra):
-    """``ctor(**section, **extra)``; a ValueError it raises names the section."""
-    values = _section(cfg, name)
+def _build(ctor, name: str, sections: dict, **extra):
+    """``ctor(**sections[name], **extra)``; a ValueError it raises names the section."""
     try:
-        return ctor(**values, **extra)
+        return ctor(**sections[name], **extra)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -241,9 +240,9 @@ build_time = partial(_build, TimeConfig, "time")
 build_options = partial(_build, SolverOptions, "solver")
 
 
-def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
+def build_initial_factory(sections: dict) -> Callable[[Grid], State]:
     """Initial-condition factory selected by config; called with the run grid."""
-    sec = _section(cfg, "initial")
+    sec = sections["initial"]
     kind = sec["kind"]
     if kind == "paper-2d":
         def factory(grid: Grid) -> State:
@@ -284,8 +283,8 @@ def build_initial_factory(cfg: dict) -> Callable[[Grid], State]:
     return factory
 
 
-def build_scene(cfg: dict, checked: bool) -> Scene:
-    grid, params, coeffs = build_grid(cfg), build_params(cfg), build_coeffs(cfg)
+def build_scene(sections: dict, checked: bool) -> Scene:
+    grid, params, coeffs = build_grid(sections), build_params(sections), build_coeffs(sections)
     # The faces reach x = lower + n h; the cosine's phase must be finite there.
     x_max = max(abs(grid.lower[0]), abs(grid.lower[0] + grid.n * grid.h))
     for name in ("d_a", "d_b", "d_c"):
@@ -299,22 +298,20 @@ def build_scene(cfg: dict, checked: bool) -> Scene:
         upper=grid.upper,
         params=params,
         coeffs=coeffs,
-        initial=build_initial_factory(cfg),
-        options=build_options(cfg, checked=checked),
+        initial=build_initial_factory(sections),
+        options=build_options(sections, checked=checked),
     )
 
 
 def _prepare(args) -> dict:
-    """The merged config, every section checked; unknown sections are refused."""
+    """Every section of the merged config, parsed; unknown sections are refused."""
     cfg = apply_overrides(load_config(args.config), args.set or [])
     for name in cfg:
         if name not in _CONFIG:
             raise ConfigError(f"unknown config section {name!r} (known: {', '.join(_CONFIG)})")
     if args.out is not None and isinstance(cfg["output"], dict):
         cfg["output"]["out_dir"] = args.out
-    for name in _CONFIG:
-        _section(cfg, name)
-    return cfg
+    return {name: _section(cfg, name) for name in _CONFIG}
 
 
 def _out_dir(output: dict) -> str:
@@ -323,11 +320,11 @@ def _out_dir(output: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = _prepare(args)
-    output = _section(cfg, "output")
-    scene = build_scene(cfg, output["checked"] if args.checked is None else args.checked)
-    tc = build_time(cfg)
-    initial = scene.initial(scene.grid(_section(cfg, "grid")["n"]))
+    sections = _prepare(args)
+    output = sections["output"]
+    scene = build_scene(sections, output["checked"] if args.checked is None else args.checked)
+    tc = build_time(sections)
+    initial = scene.initial(scene.grid(sections["grid"]["n"]))
 
     def on_snapshot(step: int, state: State) -> None:
         out_dir = _out_dir(output)
@@ -352,10 +349,9 @@ def cmd_run(args) -> int:
 def cmd_study(args) -> int:
     """``study-time`` or ``study-space``, by ``args.command``."""
     name = args.command.replace("-", "_")
-    cfg = _prepare(args)
-    study = _section(cfg, name)
-    output = _section(cfg, "output")
-    scene = build_scene(cfg, bool(args.checked))
+    sections = _prepare(args)
+    study = sections[name]
+    scene = build_scene(sections, bool(args.checked))
     try:
         if name == "study_time":
             report = temporal_order(study["dts"], study["ref_dt"], scene.grid(study["n"]),
@@ -366,7 +362,7 @@ def cmd_study(args) -> int:
         raise  # a solver failure, not a bad argument
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    report.write_csv(os.path.join(_out_dir(output), f"{report.kind}_orders.csv"))
+    report.write_csv(os.path.join(_out_dir(sections["output"]), f"{report.kind}_orders.csv"))
     print(report.format_table())
     return 0
 

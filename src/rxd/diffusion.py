@@ -42,6 +42,12 @@ from .grid import Coefficient, DiffusionCoeffs, Field, State, div_grad, face_coe
 
 DEFAULT_TOL = 1e-10
 
+# A right-hand side with ||b|| in this range is solved as given: the squares
+# and inner products of CG stay normal and finite for entries down to
+# 2^-100 ||b|| and operator norms up to 2^400.  Outside it, b is first scaled
+# by a power of two; that is exact, so a solve inside the range keeps its bits.
+_NORM_RANGE = (2.0**-300, 2.0**300)
+
 
 @dataclass(frozen=True)
 class LinearSolveReport:
@@ -119,9 +125,15 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
          tol: float, max_iter: int) -> LinearSolveReport:
     """Spectrally preconditioned CG into ``x`` from x0 = M^-1 b; residual is relative to ||b||."""
     b_norm = float(np.linalg.norm(b.ravel()))
-    if b_norm == 0.0:
-        x[...] = 0.0
-        return LinearSolveReport(0, 0.0)
+    if not _NORM_RANGE[0] <= b_norm <= _NORM_RANGE[1]:
+        peak = float(np.max(np.abs(b)))
+        if peak == 0.0:
+            x[...] = 0.0
+            return LinearSolveReport(0, 0.0)
+        scale = math.ldexp(1.0, -math.frexp(peak)[1])  # the largest |b| moves to [1/2, 1)
+        report = _pcg(op, b * scale, x, tol, max_iter)
+        x /= scale
+        return report
     op.precondition(b, x)
     r = op.residual(b, x)
     rel = float(np.linalg.norm(r.ravel())) / b_norm

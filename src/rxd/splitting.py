@@ -41,6 +41,13 @@ ENERGY_SLACK = 1e-10
 MASS_DRIFT_TOL = 1e-8
 
 
+def whole_ratio(num: float, den: float) -> int:
+    """num/den rounded if that is a positive integer to within 1e-9 relative, else 0."""
+    ratio = num / den if den > 0.0 else 0.0
+    whole = round(ratio) if 0.0 < ratio < math.inf else 0
+    return whole if abs(ratio - whole) <= 1e-9 * ratio else 0
+
+
 @dataclass(frozen=True)
 class TimeConfig:
     """Fixed-step time axis: t_final must be an integer multiple of dt."""
@@ -53,16 +60,15 @@ class TimeConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        ratio = self.t_final / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * ratio or round(ratio) < 1:
+        if not self.steps:
             raise ValueError(
-                f"t_final/dt = {self.t_final!r}/{self.dt!r} = {ratio!r} is not a "
-                "positive integer; partial final steps are not supported"
+                f"t_final/dt = {self.t_final!r}/{self.dt!r} = {self.t_final / self.dt!r} "
+                "is not a positive integer; partial final steps are not supported"
             )
 
     @property
     def steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return whole_ratio(self.t_final, self.dt)
 
 
 @dataclass(frozen=True)

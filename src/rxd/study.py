@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence, TextIO, Union
+from typing import Callable, Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .splitting import (
     TimeConfig,
     make_initial_condition,
     run_simulation,
+    whole_ratio,
 )
 
 STUDY_CSV_HEADER = "param,err_a,order_a,err_b,order_b,err_c,order_c"
@@ -115,16 +116,27 @@ class RefinementReport:
         return "\n".join(lines)
 
 
+def _orders(params: Sequence[float], errors: Sequence[float],
+            factors: Iterable[float]) -> list[float]:
+    """ln(e_j / (f_j e_{j+1})) / ln(p_j / p_{j+1}) between consecutive rows.
+
+    ``factors`` is read only once the rows are checked, so it may be lazy.
+    """
+    for p1, p2 in zip(params, params[1:]):
+        if p1 == p2:
+            raise ValueError(f"repeated refinement parameter {p1!r}")
+    if not all(e > 0.0 for e in errors):
+        raise ValueError(f"the differences {list(errors)} must all be positive to give an "
+                         "order (identical runs make them vanish)")
+    return [math.log(e1 / (f * e2)) / math.log(p1 / p2)
+            for p1, p2, e1, e2, f in zip(params, params[1:], errors, errors[1:], factors)]
+
+
 def convergence_orders(params: Sequence[float], errors: Sequence[float]) -> list[float]:
     """Observed orders ln(e_j / e_{j+1}) / ln(p_j / p_{j+1}) between consecutive rows."""
     if len(params) != len(errors) or len(params) < 2:
         raise ValueError("need at least two (param, error) rows")
-    orders = []
-    for (p1, e1), (p2, e2) in zip(zip(params, errors), zip(params[1:], errors[1:])):
-        if p1 == p2:
-            raise ValueError(f"repeated refinement parameter {p1!r}")
-        orders.append(math.log(e1 / e2) / math.log(p1 / p2))
-    return orders
+    return _orders(params, errors, [1.0] * (len(params) - 1))
 
 
 def cauchy_a_star(h_coarse: float, h_mid: float, h_fine: float) -> float:
@@ -142,13 +154,7 @@ def cauchy_orders(hs: Sequence[float], diffs: Sequence[float]) -> list[float]:
         raise ValueError("need at least three resolutions for a Cauchy order")
     if len(diffs) != len(hs) - 1:
         raise ValueError(f"expected {len(hs) - 1} differences, got {len(diffs)}")
-    orders = []
-    for j in range(1, len(hs) - 1):
-        a_star = cauchy_a_star(hs[j - 1], hs[j], hs[j + 1])
-        orders.append(
-            math.log(diffs[j - 1] / (a_star * diffs[j])) / math.log(hs[j - 1] / hs[j])
-        )
-    return orders
+    return _orders(hs, diffs, (cauchy_a_star(*hs[j:j + 3]) for j in range(len(hs) - 2)))
 
 
 def compare_fields(coarse: Field, fine: Field) -> float:
@@ -218,6 +224,16 @@ def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: lis
     return RefinementReport(kind, params, errors, orders)
 
 
+def _sizes(values: Sequence[float], least: int, study: str, noun: str) -> list[float]:
+    """``values`` as floats, largest first; fewer than ``least`` or a repeat is refused."""
+    sizes = sorted((float(v) for v in values), reverse=True)
+    if len(sizes) < least:
+        raise ValueError(f"{study} needs at least {('two', 'three')[least - 2]} {noun}")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"repeated {noun} in {sizes}")
+    return sizes
+
+
 def temporal_order(
     dts: Sequence[float],
     ref_dt: float,
@@ -231,11 +247,7 @@ def temporal_order(
     them) must divide ``t_final``; errors are max-norm differences per
     species at the final time.
     """
-    dts = sorted((float(dt) for dt in dts), reverse=True)
-    if len(dts) < 2:
-        raise ValueError("temporal study needs at least two step sizes")
-    if len(set(dts)) != len(dts):
-        raise ValueError(f"repeated step sizes in {dts}")
+    dts = _sizes(dts, 2, "temporal study", "step sizes")
     if not ref_dt < min(dts):
         raise ValueError(f"reference dt {ref_dt!r} must be below min(dts) = {min(dts)!r}")
     runs = [(grid, TimeConfig(dt, t_final)) for dt in (*dts, ref_dt)]
@@ -256,18 +268,14 @@ def spatial_cauchy_order(
     the spatial one.  Consecutive solutions are compared at the coarser grid's
     cell centers; rows carry the finer h of each pair and the A*-adjusted orders.
     """
-    hs = sorted((float(h) for h in hs), reverse=True)
-    if len(hs) < 3:
-        raise ValueError("spatial Cauchy study needs at least three mesh sizes")
-    if len(set(hs)) != len(hs):
-        raise ValueError(f"repeated mesh sizes in {hs}")
+    hs = _sizes(hs, 3, "spatial Cauchy study", "mesh sizes")
     extent = scene.upper[0] - scene.lower[0]
     grids = []
     for h in hs:
-        n = extent / h
-        if abs(n - round(n)) > 1e-9 * n:
+        n = whole_ratio(extent, h)
+        if not n:
             raise ValueError(f"h = {h!r} does not tile the domain extent {extent!r}")
-        grids.append(scene.grid(int(round(n))))
+        grids.append(scene.grid(n))
     runs = [(g, TimeConfig(h * h, t_final)) for g, h in zip(grids, hs)]
     return _refine(
         "spatial", runs, [(j, j + 1) for j in range(len(hs) - 1)],

@@ -472,6 +472,27 @@ CONTRACT = [
      ["run", *_sets("grid.n=8", "time.dt=1e-320", "time.t_final=1e-319")], {}, 0, []),
     ("test_cli_contract[underflowing-dt]",
      ["run", *_sets("grid.n=8", "time.dt=5e-324", "time.t_final=1e-322")], {}, 0, []),
+    # runs that give identical fields leave no order to measure: this used to
+    # end in a ZeroDivisionError traceback
+    ("test_cli_contract[study-time-equilibrium]",
+     ["study-time", "--out", "out", *_sets(UNIFORM, "study_time.n=8", "study_time.dts=[0.1,0.05]",
+                                           "study_time.ref_dt=0.025")], {}, 2,
+     ["config error: study_time:", "vanish"]),
+    ("test_cli_contract[study-space-equilibrium]",
+     ["study-space", "--out", "out", *_sets(UNIFORM, "study_space.hs=[0.5,0.25,0.125]",
+                                            "study_space.t_final=0.25")], {}, 2,
+     ["config error: study_space:", "vanish"]),
+    # a t_final/dt that overflows and a mesh size of 0 used to end in a traceback
+    ("test_cli_contract[overflowing-step-count]",
+     [*_RUN, *_sets("time.dt=1e-10", "time.t_final=1e300")], {}, 2,
+     ["config error: time:", "= inf is not a positive integer"]),
+    ("test_cli_contract[zero-mesh-size]",
+     ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.25,0]"], {}, 2,
+     ["config error: study_space: h = 0.0 does not tile the domain extent"]),
+    # ||b||^2 underflowed: the diffusion solve returned zeros and the run exited 3
+    ("test_cli_contract[tiny-uniform-run]",
+     ["run", *_sets("grid.n=8", "time.t_final=0.02",
+                    'initial={"kind":"uniform","a":1e-300,"b":1e-300,"c":1e-300}')], {}, 0, []),
 ]
 
 

@@ -207,6 +207,20 @@ def test_zero_right_hand_side_is_solved_without_iterations():
     assert (report.iterations, report.final_relative_residual) == (0, 0.0)
 
 
+@pytest.mark.parametrize("d", [1.0, lambda x, *rest: 1.0 + 0.9 * np.cos(np.pi * x)],
+                         ids=["constant", "cosine"])
+def test_solve_scales_exactly_with_the_data(d):
+    # ||b||^2 underflowed below ~1e-154 (an all-zero answer) and overflowed
+    # above ~1e154 (a NaN residual); a power-of-two scaling is exact.
+    g = Grid.box(2, 16)
+    u = Field.from_function(g, lambda x, y: 1.0 + 0.5 * np.cos(np.pi * x))
+    base, base_report = step_diffusion_species(u, d, dt=0.01)
+    for k in (-1000, -560, 0, 500, 700):
+        x, report = step_diffusion_species(Field(g, np.ldexp(u.values, k)), d, dt=0.01)
+        np.testing.assert_array_equal(x.values, np.ldexp(base.values, k))
+        assert report == base_report
+
+
 def test_step_diffusion_species_refuses_bad_input():
     g = Grid.box(2, 8)
     u = Field.full(g, 1.0)

@@ -347,6 +347,18 @@ def test_subnormal_rate_times_dt_resolves_the_root(k, dt):
     assert result.iterations.max() <= 2
 
 
+@pytest.mark.parametrize("dt", [1e-100, 1e-8])
+def test_root_within_the_edge_margin_settles_at_the_shrunk_end(dt):
+    # The root lies between -k- c dt and its _EDGE-shrunk end, outside the
+    # bracket the polish loop bisects; it used to take 52 iterations toward
+    # that end.  Warnings are errors here.
+    a, b, c = (np.array([v]) for v in (4.4e-10, 2.7e-10, 0.14))
+    r, iterations, _ = _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    end = -c[0] * dt * reaction._EDGE
+    assert iterations[0] <= 2 and -c[0] * dt < r[0]
+    assert abs(r[0] - end) <= 2 * np.spacing(-end)
+
+
 def test_step_reaction_dissipates_energy():
     rng = np.random.default_rng(22)
     g = Grid.box(2, 8)

@@ -71,6 +71,25 @@ def test_cauchy_orders_rejects_short_input():
         cauchy_orders([0.1, 0.05, 0.025], [1e-3])
 
 
+@pytest.mark.parametrize("orders,params,errors", [
+    (convergence_orders, [0.1, 0.05], [1e-3, 0.0]),
+    (convergence_orders, [0.1, 0.05], [0.0, 1e-3]),
+    (cauchy_orders, [0.1, 0.05, 0.025], [1e-3, 0.0]),
+    (cauchy_orders, [0.1, 0.05, 0.025], [0.0, 0.0]),
+])
+def test_orders_refuse_a_vanishing_difference(orders, params, errors):
+    # identical runs give 0: a ValueError before any division or logarithm
+    with pytest.raises(ValueError, match="must all be positive"):
+        orders(params, errors)
+
+
+@pytest.mark.parametrize("hs,repeated", [([0.1, 0.1, 0.05], "0.1"), ([0.1, 0.05, 0.05], "0.05")])
+def test_cauchy_orders_refuse_a_repeated_mesh_size(hs, repeated):
+    # a repeated h made A* or ln(h_j / h_{j+1}) divide by zero
+    with pytest.raises(ValueError, match=f"repeated refinement parameter {repeated}$"):
+        cauchy_orders(hs, [1e-3, 1e-4])
+
+
 def test_compare_fields_identical_grids():
     rng = np.random.default_rng(41)
     g = Grid(2, 10, (-1.0, -1.0), (1.0, 1.0))
