@@ -130,9 +130,11 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
         if peak == 0.0:
             x[...] = 0.0
             return LinearSolveReport(0, 0.0)
-        scale = math.ldexp(1.0, -math.frexp(peak)[1])  # the largest |b| moves to [1/2, 1)
-        report = _pcg(op, b * scale, x, tol, max_iter)
-        x /= scale
+        # 2^-e moves the largest |b| to [1/2, 1); as a double it would overflow
+        # for a subnormal peak, so the arrays are scaled by the exponent.
+        e = math.frexp(peak)[1]
+        report = _pcg(op, np.ldexp(b, -e), x, tol, max_iter)
+        np.ldexp(x, e, out=x)
         return report
     op.precondition(b, x)
     r = op.residual(b, x)

@@ -174,15 +174,17 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
             far = 2.0 * cdt * np.expm1(-g0)
         far = np.where((far > lo) & (far < hi), far, 0.0)
         # A root within the _EDGE margin of a singularity lies beyond a shrunk
-        # end: G >= 0 at lo, or G < 0 at hi.  That end is then the answer, and
-        # folding it below leaves no double inside the bracket.  G is -inf at
-        # an end that rounds onto its singularity, +inf where hi/cdt overflows.
+        # end: G >= 0 at lo, or G < 0 at hi.  G is increasing, so only the end
+        # on the side of the root that G(0) points to can hold it.  That end is
+        # then the answer, and folding it below leaves no double inside the
+        # bracket.  G is -inf at an end that rounds onto its singularity, +inf
+        # where hi/cdt overflows.
+        end = np.where(g0 >= 0.0, lo, hi)
         with np.errstate(divide="ignore", over="ignore"):
-            g_lo, g_hi = (_residual(end, a, b, c, cdt, params) for end in (lo, hi))
-        for end, beyond, g_end in ((lo, active & (g_lo >= 0.0), g_lo),
-                                   (hi, active & (g_hi < 0.0), g_hi)):
-            np.copyto(r, end, where=beyond)
-            g = np.where(beyond, g_end, g)
+            g_end = _residual(end, a, b, c, cdt, params)
+        beyond = active & np.where(g0 >= 0.0, g_end >= 0.0, g_end < 0.0)
+        np.copyto(r, end, where=beyond)
+        g = np.where(beyond, g_end, g)
         for point, g_point in ((0.0, g0), (far, _residual(far, a, b, c, cdt, params)), (r, g)):
             lo, hi = _fold(point, g_point, lo, hi)
         for _ in range(max_iter):

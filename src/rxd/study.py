@@ -224,16 +224,6 @@ def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: lis
     return RefinementReport(kind, params, errors, orders)
 
 
-def _sizes(values: Sequence[float], least: int, study: str, noun: str) -> list[float]:
-    """``values`` as floats, largest first; fewer than ``least`` or a repeat is refused."""
-    sizes = sorted((float(v) for v in values), reverse=True)
-    if len(sizes) < least:
-        raise ValueError(f"{study} needs at least {('two', 'three')[least - 2]} {noun}")
-    if len(set(sizes)) != len(sizes):
-        raise ValueError(f"repeated {noun} in {sizes}")
-    return sizes
-
-
 def temporal_order(
     dts: Sequence[float],
     ref_dt: float,
@@ -247,7 +237,11 @@ def temporal_order(
     them) must divide ``t_final``; errors are max-norm differences per
     species at the final time.
     """
-    dts = _sizes(dts, 2, "temporal study", "step sizes")
+    dts = sorted((float(dt) for dt in dts), reverse=True)
+    if len(dts) < 2:
+        raise ValueError("temporal study needs at least two step sizes")
+    if len(set(dts)) != len(dts):
+        raise ValueError(f"repeated step sizes in {dts}")
     if not ref_dt < min(dts):
         raise ValueError(f"reference dt {ref_dt!r} must be below min(dts) = {min(dts)!r}")
     runs = [(grid, TimeConfig(dt, t_final)) for dt in (*dts, ref_dt)]
@@ -268,7 +262,11 @@ def spatial_cauchy_order(
     the spatial one.  Consecutive solutions are compared at the coarser grid's
     cell centers; rows carry the finer h of each pair and the A*-adjusted orders.
     """
-    hs = _sizes(hs, 3, "spatial Cauchy study", "mesh sizes")
+    hs = sorted((float(h) for h in hs), reverse=True)
+    if len(hs) < 3:
+        raise ValueError("spatial Cauchy study needs at least three mesh sizes")
+    if len(set(hs)) != len(hs):
+        raise ValueError(f"repeated mesh sizes in {hs}")
     extent = scene.upper[0] - scene.lower[0]
     grids = []
     for h in hs:

@@ -200,7 +200,9 @@ def test_inspect(tmp_path, capsys):
 
 
 def test_default_scene_is_the_benchmark_scene():
-    scene, bench = build_scene(default_config(), False), benchmark_scene()
+    cfg = default_config()
+    scene = build_scene({name: _section(cfg, name) for name in cfg}, False)
+    bench = benchmark_scene()
     assert (scene.lower, scene.upper) == (bench.lower, bench.upper)
     assert scene.params == bench.params and scene.coeffs == bench.coeffs
 
@@ -493,6 +495,11 @@ CONTRACT = [
     ("test_cli_contract[tiny-uniform-run]",
      ["run", *_sets("grid.n=8", "time.t_final=0.02",
                     'initial={"kind":"uniform","a":1e-300,"b":1e-300,"c":1e-300}')], {}, 0, []),
+    # subnormal data: the diffusion solve's power-of-two scale, formed as a
+    # double, overflowed
+    ("test_cli_contract[subnormal-uniform-run]",
+     ["run", *_sets("grid.n=8", "time.t_final=0.02",
+                    'initial={"kind":"uniform","a":1e-310,"b":1e-310,"c":1e-310}')], {}, 0, []),
 ]
 
 
