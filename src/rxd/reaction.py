@@ -19,11 +19,12 @@ a_inf b_inf (R + k- c dt)(c + R) = c_inf k- c dt (a - R)(b - R), i.e.
 A R^2 + B R + C = 0 with B > 0.  The root is its cancellation-free closed
 form R = -2 (C/B) / (1 + sqrt(1 - 4 A (C/B) / B)), with C/B formed without
 C (which underflows for c near 1e-300), or 0 where roundoff puts it outside
-the bracket.  A safeguarded Newton loop polishes and backs up that root: it
-runs only on cells whose |G| still exceeds the tolerance, and accepts a
-Newton candidate only while it stays strictly inside the current
-sign-change bracket, else bisects, so no logarithm is evaluated outside its
-domain and strict positivity comes from the bracket.
+the bracket.  A safeguarded Newton loop polishes it on the cells whose |G|
+still exceeds the tolerance, inside the open bracket itself, so no logarithm
+is evaluated outside its domain and strict positivity comes from the
+bracket.  Newton steps pass rtsafe's test (Press et al., Numerical Recipes);
+any other step is a midpoint in the log of the distance to a singularity,
+and ln(1 + R/(k- c dt)) is ln R - ln(k- c dt) where R/(k- c dt) overflows.
 
 There is one Newton loop, vectorized over cells.  The scalar
 :func:`solve_reaction_cell` validates its inputs and runs that loop on
@@ -47,15 +48,18 @@ DEFAULT_MAX_ITER = 100
 # one block (1.3 MB at this size) stay in a typical L2 cache.
 BLOCK = 16384
 
-# Shrink factor keeping bracket endpoints strictly inside the singularities.
-_EDGE = 1.0 - 1e-15
 _TINY = float(np.nextafter(0.0, 1.0))
 
 
 def _residual(r, a, b, c, cdt, p: ModelParams):
-    """G(R); accepts scalars or ndarrays, all strictly inside the bracket."""
+    """G(R); accepts scalars or ndarrays strictly inside the bracket, R / cdt finite or not."""
+    with np.errstate(over="ignore"):
+        ratio = np.log1p(r / cdt)
+    if ratio.max() == np.inf:
+        over = np.isinf(ratio)
+        ratio[over] = np.log(r[over]) - np.log(cdt[over])
     return (
-        np.log1p(r / cdt)
+        ratio
         - np.log((a - r) / p.a_inf)
         - np.log((b - r) / p.b_inf)
         + np.log((c + r) / p.c_inf)
@@ -138,18 +142,28 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
 
     Solves one block of flat cells in place in ``r_out``, adds the per-cell
     Newton counts to ``iterations`` and returns the largest accepted |G|.
-    Converges per cell when |G(R)| <= tol, or when no double lies strictly
-    inside the sign-change bracket (near the logarithmic singularities, or
-    where k- c dt is subnormal, G cannot be resolved to tol, but the root
-    itself is then resolved to the last ulp).  A stalled cell is reported by its
-    index in the field: the block's ``offset`` plus its index in the block.
+    The bracket (-min(k- c dt, c), min(a, b)) is narrowed by the sign of G at
+    0, at the closed form and at every iterate.  A Newton step is taken only
+    while it lands inside and is below half the step before last (rtsafe's
+    test), so it cannot creep toward a singularity; any other step goes
+    halfway in the log of the distance to the singularity nearer the bracket.
+    A cell converges when |G(R)| <= tol or no double lies strictly inside its
+    bracket; it is named by ``offset`` plus its index in the block.  An
+    overflowing k- c dt is refused: its equation is not the configured one.
     """
+    flat = lambda arr: float(np.broadcast_to(arr, a.shape)[cell])  # noqa: E731
+    try:
+        with np.errstate(over="raise"):
+            cdt = params.k_minus * c * dt
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            cell = int(np.argmax(np.isinf(params.k_minus * c * dt)))
+        raise ValueError(f"reaction rate k- c dt overflows at cell {offset + cell}: "
+                         f"k-={params.k_minus!r} c={flat(c)!r} dt={flat(dt)!r}") from None
     # k- c dt underflows to 0 for dt near 5e-324; its nearest positive double
     # keeps G defined and moves R by less than the last bit of a, b and c.
-    cdt = params.k_minus * c * dt
     np.maximum(cdt, _TINY, out=cdt)
-    lo = -np.minimum(cdt, c) * _EDGE
-    hi = np.minimum(a, b) * _EDGE
+    s_lo, s_hi = -np.minimum(cdt, c), np.minimum(a, b)
     # The quadratic's bracketed root; q = C/B.  Huge rate constants overflow
     # B; the bracket test below replaces a non-finite root with 0.
     ab_inf = params.a_inf * params.b_inf
@@ -160,50 +174,35 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
         r = np.divide(-2.0 * q, 1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * big_a * q / big_b)),
                       out=r_out)
     del big_a, big_b, q
-    np.copyto(r, 0.0, where=~((r > lo) & (r < hi)))
+    np.copyto(r, 0.0, where=~((r > s_lo) & (r < s_hi)))
     g = _residual(r, a, b, c, cdt, params)
     active = ~(np.abs(g) <= tol)
     if active.any():
-        # G(R) = ln(1 + R/cdt) + H(R) with H increasing and H(0) = G(0), so
-        # the root lies between 0 and cdt expm1(-G(0)).  The signs of G at 0,
-        # at twice that bound and at the closed form bracket it at its own
-        # scale, which lies up to 1e300 below min(a, b) when cdt is
-        # subnormal: too far to bisect.
-        g0 = _residual(0.0, a, b, c, cdt, params)
-        with np.errstate(over="ignore"):
-            far = 2.0 * cdt * np.expm1(-g0)
-        far = np.where((far > lo) & (far < hi), far, 0.0)
-        # A root within the _EDGE margin of a singularity lies beyond a shrunk
-        # end: G >= 0 at lo, or G < 0 at hi.  G is increasing, so only the end
-        # on the side of the root that G(0) points to can hold it.  That end is
-        # then the answer, and folding it below leaves no double inside the
-        # bracket.  G is -inf at an end that rounds onto its singularity, +inf
-        # where hi/cdt overflows.
-        end = np.where(g0 >= 0.0, lo, hi)
-        with np.errstate(divide="ignore", over="ignore"):
-            g_end = _residual(end, a, b, c, cdt, params)
-        beyond = active & np.where(g0 >= 0.0, g_end >= 0.0, g_end < 0.0)
-        np.copyto(r, end, where=beyond)
-        g = np.where(beyond, g_end, g)
-        for point, g_point in ((0.0, g0), (far, _residual(far, a, b, c, cdt, params)), (r, g)):
-            lo, hi = _fold(point, g_point, lo, hi)
+        lo, hi = _fold(0.0, _residual(0.0, a, b, c, cdt, params), s_lo, s_hi)
+        lo, hi = _fold(r, g, lo, hi)
+        before_last = last = np.inf
         for _ in range(max_iter):
             active &= ~((np.abs(g) <= tol) | (np.nextafter(lo, hi) >= hi))
             if not active.any():
                 break
-            mid = 0.5 * (lo + hi)
-            cand = r - _newton_step(g, r, a, b, c, cdt)
+            dx = _newton_step(g, r, a, b, c, cdt)
+            cand = r - dx
             # A step below half an ulp moves one ulp toward the root, where the
             # sign of G then closes the bracket.
-            cand = np.where(cand == r, np.nextafter(r, mid), cand)
-            step = np.where((cand > lo) & (cand < hi), cand, mid)
+            cand = np.where(cand == r, np.nextafter(r, np.where(g < 0.0, hi, lo)), cand)
+            newton = (cand > lo) & (cand < hi) & (np.abs(dx) < 0.5 * before_last)
+            near = np.where(lo - s_lo <= s_hi - hi, s_lo, s_hi)
+            distance = np.sqrt(np.abs(lo - near)) * np.sqrt(np.abs(hi - near))
+            mid = near + np.sign(r - near) * distance
+            mid = np.clip(mid, np.nextafter(lo, hi), np.nextafter(hi, lo))
+            step = np.where(newton, cand, mid)
+            before_last, last = last, np.abs(step - r)
             np.copyto(r, step, where=active)
             iterations += active
             g = np.where(active, _residual(r, a, b, c, cdt, params), g)
             lo, hi = _fold(r, g, lo, hi)
     if active.any():
         cell = int(np.flatnonzero(active)[0])
-        flat = lambda arr: float(np.broadcast_to(arr, a.shape)[cell])  # noqa: E731
         raise ConvergenceError(
             f"reaction solve stalled after {max_iter} iterations at cell {offset + cell}: "
             f"a={flat(a)!r} b={flat(b)!r} c={flat(c)!r} dt={flat(dt)!r} "

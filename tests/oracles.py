@@ -4,10 +4,13 @@ Everything here is written from the defining formulas, deliberately not
 reusing the production code paths it is used to check: a brute-force stencil
 and an ``np.roll`` stencil for the diffusion operator, conjugate gradients
 with a new array per vector, bisection on the reaction trajectory equation,
-and an RK4 integrator for the reaction-only ODE.
+its exact sign in rational arithmetic, and an RK4 integrator for the
+reaction-only ODE.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,6 +106,19 @@ def bisect_reaction(a, b, c, dt, iters: int = 80, a_inf=1.0, b_inf=1.0, c_inf=1.
         lo = np.where(g < 0.0, mid, lo)
         hi = np.where(g < 0.0, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def exact_trajectory_sign(r, a, b, c, cdt, a_inf=1.0, b_inf=1.0, c_inf=1.0) -> int:
+    """The exact sign (-1, 0 or 1) of the trajectory equation G at the double ``r``.
+
+    ``cdt`` is the double k- c dt.  For r in [-min(cdt, c), min(a, b)], G has
+    the sign of its exponentiated form a_inf b_inf (r + cdt)(c + r) -
+    c_inf cdt (a - r)(b - r), evaluated here in ``Fraction``s without
+    rounding; it is -1 at the left end and 1 at the right end.
+    """
+    r, a, b, c, cdt, a_inf, b_inf, c_inf = map(Fraction, (r, a, b, c, cdt, a_inf, b_inf, c_inf))
+    d = a_inf * b_inf * (r + cdt) * (c + r) - c_inf * cdt * (a - r) * (b - r)
+    return (d > 0) - (d < 0)
 
 
 def reaction_rhs(y: np.ndarray) -> np.ndarray:

@@ -317,6 +317,14 @@ def _uniform(*levels, n=8):
 _RUN = ["run", "--out", "out", *_sets("grid.n=8", "time.dt=0.1", "time.t_final=0.2")]  # 2 steps
 _SNAPSHOT_RUN = [*_RUN, "--set", "initial=" + json.dumps(
     {"kind": "snapshot", **{name: f"init_{name}.txt" for name in "abc"}})]
+
+
+def _one_uniform_step(dt, a, b, c):
+    """``rxd run`` of one step of size dt from the uniform state (a, b, c) at N = 4."""
+    return ["run", *_sets("grid.n=4", f"time.dt={dt!r}", f"time.t_final={dt!r}",
+                          "initial=" + json.dumps({"kind": "uniform", "a": a, "b": b, "c": c}))]
+
+
 _PAPER_FIELDS = [f for _, f in make_initial_condition(Grid.box(2, 8, -1.0, 1.0)).species()]
 _HEADER = "rxd-field v1\ndim=1 n=2 lower=0 upper=1 t=0"
 
@@ -500,6 +508,18 @@ CONTRACT = [
     ("test_cli_contract[subnormal-uniform-run]",
      ["run", *_sets("grid.n=8", "time.t_final=0.02",
                     'initial={"kind":"uniform","a":1e-310,"b":1e-310,"c":1e-310}')], {}, 0, []),
+    # roots 1e-289 below min(a, b) and 1e68 above a subnormal k_minus*c*dt:
+    # the reaction bisected arithmetically and stalled with exit 3
+    *((f"test_cli_contract[{case}]", _one_uniform_step(dt, a, b, c), {}, 0, [])
+      for case, a, b, c, dt in [
+          ("mixed-scale-uniform-run", 21853.370413462744, 2.1872641913206866e-289,
+           3.160873312828357e-132, 4.6284300441286253e-20),
+          ("overflowing-trajectory-ratio-run", 1.9983148498481042e250, 2.5422843246359816e209,
+           1.2249091605361626e-213, 7.347700998735883e-296)]),
+    # k_minus*c*dt overflowed with a warning and the run solved another equation
+    ("test_cli_contract[overflowing-reaction-rate-run]",
+     _one_uniform_step(1e10, 1e300, 1e300, 1e300), {}, 2,
+     ["invalid input: reaction rate k- c dt overflows at cell 0: k-=1.0 c=1e+300"]),
 ]
 
 

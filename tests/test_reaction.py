@@ -21,7 +21,7 @@ from rxd import (
 )
 from rxd import reaction
 from rxd.reaction import BLOCK, DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_field
-from oracles import bisect_reaction, rk4_reaction, trajectory_residual
+from oracles import bisect_reaction, exact_trajectory_sign, rk4_reaction, trajectory_residual
 
 P_UNIT = ModelParams(1.0, 1.0, 1.0)
 
@@ -347,16 +347,49 @@ def test_subnormal_rate_times_dt_resolves_the_root(k, dt):
     assert result.iterations.max() <= 2
 
 
-@pytest.mark.parametrize("dt", [1e-100, 1e-8])
-def test_root_within_the_edge_margin_settles_at_the_shrunk_end(dt):
-    # The root lies between -k- c dt and its _EDGE-shrunk end, outside the
-    # bracket the polish loop bisects; it used to take 52 iterations toward
-    # that end.  Warnings are errors here.
-    a, b, c = (np.array([v]) for v in (4.4e-10, 2.7e-10, 0.14))
-    r, iterations, _ = _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    end = -c[0] * dt * reaction._EDGE
-    assert iterations[0] <= 2 and -c[0] * dt < r[0]
-    assert abs(r[0] - end) <= 2 * np.spacing(-end)
+# Roots next to the singularity -min(k- c dt, c): two within 1e-15 relative
+# of -k- c dt, one 1.2e-15 k- c dt above it (arithmetic bisection took 52
+# iterations), and one below the first double above -c, which R must then be.
+NEAR_EDGE = [
+    pytest.param(4.4e-10, 2.7e-10, 0.14, 1e-100, None, id="margin-1e-100"),
+    pytest.param(4.4e-10, 2.7e-10, 0.14, 1e-8, None, id="margin-1e-08"),
+    pytest.param(0.0027, 1.6e-14, 0.04, 1e-100, None, id="bisected-1e-100"),
+    pytest.param(1.4577449460398597e-215, 9.72773890048322e-299, 1.5306975279389277e-39,
+                 266323.7371005737, np.nextafter(-1.5306975279389277e-39, 0.0),
+                 id="unrepresentable"),
+]
+
+
+@pytest.mark.parametrize("a,b,c,dt,pinned", NEAR_EDGE)
+def test_root_next_to_a_singularity_is_exact_to_two_ulps(a, b, c, dt, pinned):
+    # G changes sign exactly within 2 ulps of R, the ends of the bracket
+    # counting as -inf and +inf.  Warnings are errors here.
+    cells = (np.array([v]) for v in (a, b, c))
+    r, iterations, _ = _solve_field(*cells, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    r, cdt = float(r[0]), P_UNIT.k_minus * c * dt
+    lo, hi = -min(cdt, c), min(a, b)
+    assert iterations[0] <= 3 and lo < r < hi
+    below, above = (np.nextafter(np.nextafter(r, end), end) for end in (lo, hi))
+    assert exact_trajectory_sign(max(below, lo), a, b, c, cdt) < 0
+    assert exact_trajectory_sign(min(above, hi), a, b, c, cdt) > 0
+    assert pinned is None or r == pinned
+
+
+def test_polish_iterations_are_bounded():
+    # Arithmetic bisection took up to 53-56 iterations on the first cells at
+    # dt <= 1e-3; on the second, R / (k- c dt) overflowed with a warning.
+    # Warnings are errors here.
+    rng = np.random.default_rng(5)
+    unit = 10.0 ** rng.uniform(-14.0, 3.0, (3, 20_000))
+    huge = 10.0 ** rng.uniform(-300.0, 300.0, (3, 20_000))
+    huge_dt = 10.0 ** rng.uniform(-320.0, -3.0, 20_000)
+    cases = [(unit, dt, 10) for dt in (1e-305, 1e-100, 1e-8, 1e-3, 1.0, 1e3)]
+    for (a, b, c), dt, most in [*cases, (huge, huge_dt, 30)]:
+        r, iterations, _ = _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert iterations.max() <= most
+        cdt = np.maximum(c * dt, np.nextafter(0.0, 1.0))
+        assert np.all(a - r > 0.0) and np.all(b - r > 0.0) and np.all(c + r > 0.0)
+        assert np.all(r + cdt > 0.0)
 
 
 def test_step_reaction_dissipates_energy():

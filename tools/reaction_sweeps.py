@@ -1,0 +1,81 @@
+"""Worst-case sweeps of the reaction solve: iterations and time per sweep.
+
+    python tools/reaction_sweeps.py [SRC]
+
+Imports ``rxd`` from SRC (default: this tree's ``src``), so that two
+checkouts can be compared on one host.  Each sweep solves its cells with
+``reaction._solve_field`` at the default tolerance, warnings as errors, and
+an iteration cap of ten times the default, so that cells which would hit
+the default cap are counted instead of raising.  For each sweep it prints
+the most iterations of any cell, the cells that take more than 10, the
+cells that reach the default cap, and the time of the ``_solve_field``
+call.  A sweep that warns or fails prints the exception in place of its
+counts.  The sweeps are:
+
+- ``unit dt=...``: 200,000 cells with a, b, c log-uniform in [1e-14, 1e3],
+  unit parameters, at six step sizes;
+- ``wide rates=...``: 50,000 cells each with a, b, c log-uniform in
+  [1e-300, 1e6] and dt in [1e-320, 1e6], for three detailed-balance rate
+  sets (a_inf, b_inf, c_inf, k+, k-);
+- ``huge``: 200,000 cells with a, b, c log-uniform in [1e-300, 1e300] and
+  dt in [1e-320, 1e-3], unit parameters.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+RATES = [(1.0, 1.0, 1.0, 1.0, 1.0), (2.0, 0.5, 1.5, 1.5, 1.0), (1.0, 1.0, 1.0, 2.0, 2.0)]
+
+
+def _log_uniform(rng, low, high, shape):
+    return 10.0 ** rng.uniform(np.log10(low), np.log10(high), shape)
+
+
+def sweeps():
+    """(name, a, b, c, dt, (a_inf, b_inf, c_inf, k+, k-)) for each sweep, seeded."""
+    rng = np.random.default_rng(7)
+    a, b, c = _log_uniform(rng, 1e-14, 1e3, (3, 200_000))
+    for dt in (1e-305, 1e-100, 1e-8, 1e-3, 1.0, 1e3):
+        yield f"unit dt={dt:g}", a, b, c, dt, RATES[0]
+    for rates in RATES:
+        a, b, c = _log_uniform(rng, 1e-300, 1e6, (3, 50_000))
+        dt = _log_uniform(rng, 1e-320, 1e6, 50_000)
+        yield f"wide rates={','.join(f'{v:g}' for v in rates)}", a, b, c, dt, rates
+    a, b, c = _log_uniform(rng, 1e-300, 1e300, (3, 200_000))
+    yield "huge", a, b, c, _log_uniform(rng, 1e-320, 1e-3, 200_000), RATES[0]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: python tools/reaction_sweeps.py [SRC]", file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[0] if argv else str(Path(__file__).resolve().parents[1] / "src"))
+    from rxd import ModelParams
+    from rxd.reaction import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_field
+
+    print(f"{'sweep':<26} {'most':>5} {'> 10':>7} {'at cap':>7} {'ms':>8}")
+    for name, a, b, c, dt, rates in sweeps():
+        params = ModelParams(*rates)
+        start = time.perf_counter()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, iterations, _ = _solve_field(a, b, c, dt, params, DEFAULT_TOL,
+                                                10 * DEFAULT_MAX_ITER)
+        except (ArithmeticError, RuntimeError, ValueError, Warning) as exc:
+            print(f"{name:<26} {type(exc).__name__}: {exc}")
+            continue
+        ms = 1e3 * (time.perf_counter() - start)
+        print(f"{name:<26} {iterations.max():>5} {np.count_nonzero(iterations > 10):>7} "
+              f"{np.count_nonzero(iterations >= DEFAULT_MAX_ITER):>7} {ms:>8.0f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
