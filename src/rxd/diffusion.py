@@ -17,12 +17,15 @@ A run builds what it does not change once, through :func:`build_operators`:
 per species the face coefficients and the preconditioner's symbol, and one
 workspace of scratch arrays that the three species share.  The stencil,
 the residual check and the spectral solve write into the workspace (the
-FFTs through their ``out=`` arguments) and each solution goes straight into
-its row of the output stack; the CG iteration, which a constant coefficient
-never reaches, allocates its vectors z, p and A p per solve.  These in-place
-forms keep the operation order of the plain array expressions, so they give
-the same bits.  The output stack may be a stack the caller no longer needs;
-the driver passes one only when no caller holds it.
+FFTs through their ``out=`` arguments); the CG iteration, which a constant
+coefficient never reaches, allocates its vectors z, p and A p per solve.
+These in-place forms keep the operation order of the plain array
+expressions, so they give the same bits.  A step may run in place on the
+input stack: each species is then solved into one scratch row, allocated
+per call, and copied into its own row after its solve, because CG reads u*
+until it has converged.  Into a separate output stack each solution goes
+straight into its row.  The driver runs the stage in place on the stack
+the reaction stage has just written.
 
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
@@ -38,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .grid import Coefficient, DiffusionCoeffs, Field, State, div_grad, face_coefficient
+from .grid import (Coefficient, DiffusionCoeffs, Field, State, div_grad, face_coefficient,
+                   same_stack)
 
 DEFAULT_TOL = 1e-10
 
@@ -224,20 +228,26 @@ def step_diffusion(
     """Advance all three species by implicit diffusion; time moves forward by dt.
 
     The three solves are independent; each writes its row of the new stack
-    ``out`` (a new array when None, sharing no memory with ``state_star.u``).
-    ``ops`` are the operators of :func:`build_operators` for ``coeffs`` and
-    ``dt``, built here when None.  The result must be strictly positive; if
-    it is not, the linear tolerance is too loose for the data and a
-    :class:`PositivityError` is raised instead of silently clipping.
+    ``out``: a new array when None, ``state_star.u`` itself (each species is
+    then solved into a scratch row first), or a stack sharing no memory with
+    it; a partial overlap is refused, and after an error ``out``'s contents
+    are unspecified.  ``ops`` are the operators of :func:`build_operators`
+    for ``coeffs`` and ``dt``, built here when None.  The result must be
+    strictly positive; if it is not, the linear tolerance is too loose for
+    the data and a :class:`PositivityError` is raised instead of silently
+    clipping.
     """
     state_star.require_positive("step_diffusion input")
+    in_place = out is not None and same_stack(out, state_star.u, "step_diffusion")
     if ops is None:
         ops = build_operators(state_star.grid, coeffs, dt)
     u = np.empty_like(state_star.u) if out is None else out
+    scratch = np.empty_like(u[0]) if in_place else None
     reports = []
     for (_, f), d, op, row in zip(state_star.species(), (coeffs.d_a, coeffs.d_b, coeffs.d_c),
                                   ops, u):
-        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter, row, op)
+        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter,
+                                                row if scratch is None else scratch, op)
         row[...] = u_next.values  # no copy when the solve wrote into row
         reports.append(report)
     state = State.from_stack(state_star.grid, u, state_star.time + dt)

@@ -260,6 +260,17 @@ class State:
                 )
 
 
+def same_stack(out: np.ndarray, u: np.ndarray, context: str) -> bool:
+    """True when ``out`` is ``u``, False when the two share no memory; any
+    other overlap is refused."""
+    if out is u:
+        return True
+    if np.may_share_memory(out, u):
+        raise ValueError(f"{context}: out must be the input's own stack or share no memory "
+                         "with it")
+    return False
+
+
 def inner_product(f: Field, g: Field) -> float:
     """Discrete L2 inner product: h^dim * sum of f*g over all cells."""
     if f.grid != g.grid:
@@ -287,10 +298,16 @@ def discrete_energy(state: State, params: ModelParams) -> float:
     state.require_positive("discrete_energy")
     refs = (params.a_inf, params.b_inf, params.c_inf)
     total = 0.0
+    # One scratch row takes the steps of v * (ln(v / ref) - 1) in turn, in
+    # their order, so it gives the bits of the plain expression.
+    w = np.empty_like(state.u[0])
     # an overflowing ratio (tiny x_inf) is an infinite energy, which callers refuse
     with np.errstate(over="ignore"):
         for v, ref in zip(state.u, refs):
-            total += float(np.sum(v * (np.log(v / ref) - 1.0)))
+            np.divide(v, ref, out=w)
+            np.log(w, out=w)
+            np.subtract(w, 1.0, out=w)
+            total += float(np.sum(np.multiply(v, w, out=w)))
     return state.grid.cell_volume * total
 
 

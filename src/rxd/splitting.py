@@ -127,13 +127,17 @@ def write_diagnostics_csv(rows, dest: Union[str, os.PathLike, TextIO]) -> None:
 def _state_row(state: State, params: ModelParams, reaction_residual: float = 0.0,
                cg_iters: tuple[int, int, int] = (0, 0, 0)) -> DiagnosticsRow:
     a, b, c = state.u
-    mass_ac = mean_value(Field(state.grid, a + c))
-    mass_bc = mean_value(Field(state.grid, b + c))
+    # Huge concentrations overflow to an infinite mass or energy, which
+    # checked mode refuses by name.
+    with np.errstate(over="ignore"):
+        mass_ac = mean_value(Field(state.grid, a + c))
+        mass_bc = mean_value(Field(state.grid, b + c))
+        energy = discrete_energy(state, params)
     mins = state.min_values()
     return DiagnosticsRow(
         step=0,
         time=state.time,
-        energy=discrete_energy(state, params),
+        energy=energy,
         mass_ac=mass_ac,
         mass_bc=mass_bc,
         min_a=mins[0],
@@ -171,22 +175,24 @@ def full_step(
 
     Returns the advanced state and (when ``collect`` or in checked mode) a
     diagnostics row with ``step`` left at 0 for the caller to fill in.
-    ``ops`` and ``out`` go to :func:`step_diffusion`; ``out`` may be
-    ``state.u`` when the caller no longer needs ``state``, since the
-    reaction has consumed it by then.  ``energy_before`` is the energy of
-    ``state`` if the caller has it; checked mode computes it otherwise.
+    The reaction writes into ``out`` (a new stack when None) and the
+    diffusion then runs in place on that stack, so the step holds one
+    stack besides ``state``'s.  ``out`` may be ``state.u`` when the caller
+    no longer needs ``state``, or any stack sharing no memory with it;
+    after an error its contents are unspecified.  ``ops`` go to
+    :func:`step_diffusion`.  ``energy_before`` is the energy of ``state``
+    if the caller has it; checked mode computes it otherwise.
     """
     checked = options.checked
     if checked and energy_before is None:
         energy_before = discrete_energy(state, params)
-    star, solve = step_reaction(state, dt, params, tol=options.reaction_tol)
+    star, solve = step_reaction(state, dt, params, tol=options.reaction_tol, out=out)
     reaction_residual = solve.max_residual
-    del solve  # its per-cell arrays, and star after the diffusion, leave the step's peak
+    del solve  # its per-cell arrays leave the step's peak before the diffusion
     energy_star = discrete_energy(star, params) if checked else None
     next_state, reports = step_diffusion(
-        star, coeffs, dt, options.cg_tol, options.cg_max_iter, ops, out
+        star, coeffs, dt, options.cg_tol, options.cg_max_iter, ops, star.u
     )
-    del star
     row = None
     if collect or checked:
         row = _state_row(next_state, params, reaction_residual,
@@ -225,9 +231,10 @@ def run_simulation(
 
     The diffusion operators and their workspace are built once for the
     run, before the first snapshot, so a coefficient they refuse is refused
-    before any output.  A step writes its result into the stack of the
-    state it started from, unless a caller holds that state: the initial
-    state and the states handed to ``on_snapshot`` are never overwritten.
+    before any output.  A step advances the stack of the state it started
+    from in place, unless a caller holds that state: the initial state and
+    the states handed to ``on_snapshot`` are never overwritten, and a step
+    from one of them writes a new stack, which later steps then reuse.
     """
     initial.require_positive("run_simulation initial state")
     rows: list[DiagnosticsRow] = []

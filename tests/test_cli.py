@@ -520,6 +520,9 @@ CONTRACT = [
     ("test_cli_contract[overflowing-reaction-rate-run]",
      _one_uniform_step(1e10, 1e300, 1e300, 1e300), {}, 2,
      ["invalid input: reaction rate k- c dt overflows at cell 0: k-=1.0 c=1e+300"]),
+    # a + c and the energy sum overflowed with four RuntimeWarning lines
+    ("test_cli_contract[overflowing-mass-run]", _one_uniform_step(0.01, 1e308, 1e-300, 1e308),
+     {}, 3, ["solver failure: energy is not finite at step 0: inf\n"]),
 ]
 
 

@@ -293,6 +293,54 @@ def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every):
         replace(r, time=0.0) for r in rows]
 
 
+def _bits(state):
+    return state.u.view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["constant-2d", "cosine-2d", "tiny-1d", "dt100-3d"])
+def test_in_place_stages_match_out_of_place_bitwise(case):
+    # Each stage may write into its input's own stack: the reaction finds
+    # every R before it writes a row, the diffusion solves each species into
+    # a scratch row.  full_step is the out-of-place composition, in one stack.
+    initial, tc, coeffs = _stepper_case(case)
+    star, solve = reaction.step_reaction(initial, tc.dt, P_UNIT)
+    expected, reports = diffusion.step_diffusion(star, coeffs, tc.dt, out=np.empty_like(star.u))
+    assert case != "cosine-2d" or reports[1].iterations > 0
+
+    work = State.from_stack(initial.grid, initial.u.copy(), initial.time)
+    star_in, solve_in = reaction.step_reaction(work, tc.dt, P_UNIT, out=work.u)
+    assert star_in.u is work.u
+    np.testing.assert_array_equal(_bits(star_in), _bits(star))
+    np.testing.assert_array_equal(solve_in.r.values.view(np.uint64),
+                                  solve.r.values.view(np.uint64))
+    next_in, reports_in = diffusion.step_diffusion(star_in, coeffs, tc.dt, out=work.u)
+    assert next_in.u is work.u and reports_in == reports
+    np.testing.assert_array_equal(_bits(next_in), _bits(expected))
+
+    stepped, row = full_step(initial, tc.dt, P_UNIT, coeffs)
+    np.testing.assert_array_equal(_bits(stepped), _bits(expected))
+    work = State.from_stack(initial.grid, initial.u.copy(), initial.time)
+    stepped_in, row_in = full_step(work, tc.dt, P_UNIT, coeffs, out=work.u)
+    assert stepped_in.u is work.u and row_in == row
+    np.testing.assert_array_equal(_bits(stepped_in), _bits(expected))
+
+
+def test_partially_overlapping_output_is_refused():
+    g = Grid.box(2, 8, -1.0, 1.0)
+    buf = np.ones((4, *g.shape))
+    buf[:3] = make_initial_condition(g).u
+    s = State.from_stack(g, buf[:3])
+    before = buf.copy()
+    overlap = "out must be the input's own stack or share no memory with it"
+    with pytest.raises(ValueError, match=overlap):
+        reaction.step_reaction(s, 0.01, P_UNIT, out=buf[1:])
+    with pytest.raises(ValueError, match=overlap):
+        diffusion.step_diffusion(s, COEFFS, 0.01, out=buf[1:])
+    with pytest.raises(ValueError, match=overlap):
+        full_step(s, 0.01, P_UNIT, COEFFS, out=buf[1:])
+    np.testing.assert_array_equal(buf, before)
+
+
 def test_checked_run_computes_energy_twice_per_step(monkeypatch):
     # The energy before a step is the previous row's, computed on the same
     # array; only the initial row and a standalone step compute it anew.
