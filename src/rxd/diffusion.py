@@ -23,9 +23,9 @@ These in-place forms keep the operation order of the plain array
 expressions, so they give the same bits.  A step may run in place on the
 input stack: each species is then solved into one scratch row, allocated
 per call, and copied into its own row after its solve, because CG reads u*
-until it has converged.  Into a separate output stack each solution goes
-straight into its row.  The driver runs the stage in place on the stack
-the reaction stage has just written.
+until it has converged.  Into a new stack each solution goes straight
+into its row.  The driver runs the stage in place on the stack the
+reaction stage has just written.
 
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
@@ -41,8 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .grid import (Coefficient, DiffusionCoeffs, Field, State, div_grad, face_coefficient,
-                   same_stack)
+from .grid import Coefficient, DiffusionCoeffs, Field, State, div_grad, face_coefficient
 
 DEFAULT_TOL = 1e-10
 
@@ -223,25 +222,23 @@ def step_diffusion(
     tol: float = DEFAULT_TOL,
     max_iter: Optional[int] = None,
     ops: Optional[tuple[_ImplicitDiffusionOperator, ...]] = None,
-    out: Optional[np.ndarray] = None,
+    in_place: bool = False,
 ) -> tuple[State, tuple[LinearSolveReport, LinearSolveReport, LinearSolveReport]]:
     """Advance all three species by implicit diffusion; time moves forward by dt.
 
-    The three solves are independent; each writes its row of the new stack
-    ``out``: a new array when None, ``state_star.u`` itself (each species is
-    then solved into a scratch row first), or a stack sharing no memory with
-    it; a partial overlap is refused, and after an error ``out``'s contents
-    are unspecified.  ``ops`` are the operators of :func:`build_operators`
+    The three solves are independent; each writes its row of a new stack,
+    or of ``state_star.u`` itself when ``in_place`` (each species is then
+    solved into a scratch row first; after an error the stack's contents
+    are unspecified).  ``ops`` are the operators of :func:`build_operators`
     for ``coeffs`` and ``dt``, built here when None.  The result must be
     strictly positive; if it is not, the linear tolerance is too loose for
     the data and a :class:`PositivityError` is raised instead of silently
     clipping.
     """
     state_star.require_positive("step_diffusion input")
-    in_place = out is not None and same_stack(out, state_star.u, "step_diffusion")
     if ops is None:
         ops = build_operators(state_star.grid, coeffs, dt)
-    u = np.empty_like(state_star.u) if out is None else out
+    u = state_star.u if in_place else np.empty_like(state_star.u)
     scratch = np.empty_like(u[0]) if in_place else None
     reports = []
     for (_, f), d, op, row in zip(state_star.species(), (coeffs.d_a, coeffs.d_b, coeffs.d_c),

@@ -260,17 +260,6 @@ class State:
                 )
 
 
-def same_stack(out: np.ndarray, u: np.ndarray, context: str) -> bool:
-    """True when ``out`` is ``u``, False when the two share no memory; any
-    other overlap is refused."""
-    if out is u:
-        return True
-    if np.may_share_memory(out, u):
-        raise ValueError(f"{context}: out must be the input's own stack or share no memory "
-                         "with it")
-    return False
-
-
 def inner_product(f: Field, g: Field) -> float:
     """Discrete L2 inner product: h^dim * sum of f*g over all cells."""
     if f.grid != g.grid:

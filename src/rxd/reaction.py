@@ -35,12 +35,11 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .grid import Field, ModelParams, State, same_stack
+from .grid import Field, ModelParams, State
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100
@@ -233,7 +232,7 @@ def step_reaction(
     dt: float,
     params: ModelParams,
     tol: float = DEFAULT_TOL,
-    out: Optional[np.ndarray] = None,
+    in_place: bool = False,
 ) -> tuple[State, ReactionSolveResult]:
     """Advance the reaction subproblem: a* = a - R, b* = b - R, c* = c + R.
 
@@ -242,19 +241,15 @@ def step_reaction(
     bracket).  The same R is subtracted and added, so a* + c* and b* + c*
     keep a + c and b + c in each cell up to rounding, by 2 eps of the sum.
 
-    The new state is written into ``out``: a new stack when None, or a
-    stack of ``state.u``'s shape that is either ``state.u`` itself (every R
-    is found before any row is written) or shares no memory with it; a
-    partial overlap is refused.  After an error ``out``'s contents are
-    unspecified.
+    The new state is written into a new stack, or into ``state.u`` itself
+    when ``in_place`` (every R is found before any row is written; after an
+    error its contents are unspecified).
     """
     if not dt > 0.0:
         raise PositivityError(f"step_reaction: dt must be positive, got {dt}")
     state.require_positive("step_reaction")
-    if out is not None:
-        same_stack(out, state.u, "step_reaction")
     r, iterations, max_residual = _solve_field(*state.u, dt, params, tol, DEFAULT_MAX_ITER)
-    u = np.empty_like(state.u) if out is None else out
+    u = state.u if in_place else np.empty_like(state.u)
     np.subtract(state.u[:2], r, out=u[:2])
     np.add(state.u[2], r, out=u[2])
     star = State.from_stack(state.grid, u, state.time)

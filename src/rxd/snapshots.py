@@ -95,10 +95,14 @@ def format_float(x: float) -> str:
 
 
 def _opened(file: Union[str, os.PathLike, TextIO], mode: str):
-    """An open text file as it is (left open), else the path opened in ``mode``."""
+    """An open text file as it is (left open), else the path opened in ``mode``.
+
+    A path is read as ASCII with every other byte mapped to a lone surrogate,
+    which no number or header key parses, so the reader refuses it by line.
+    """
     if hasattr(file, "read" if mode == "r" else "write"):
         return nullcontext(file)
-    return open(file, mode, encoding="ascii")
+    return open(file, mode, encoding="ascii", errors="surrogateescape")
 
 
 def write_csv(dest: Union[str, os.PathLike, TextIO], header: str,

@@ -168,30 +168,29 @@ def full_step(
     options: SolverOptions = SolverOptions(),
     collect: bool = True,
     ops: Optional[tuple] = None,
-    out: Optional[np.ndarray] = None,
+    in_place: bool = False,
     energy_before: Optional[float] = None,
 ) -> tuple[State, Optional[DiagnosticsRow]]:
     """One split step: reaction with step dt, then diffusion with step dt.
 
     Returns the advanced state and (when ``collect`` or in checked mode) a
     diagnostics row with ``step`` left at 0 for the caller to fill in.
-    The reaction writes into ``out`` (a new stack when None) and the
-    diffusion then runs in place on that stack, so the step holds one
-    stack besides ``state``'s.  ``out`` may be ``state.u`` when the caller
-    no longer needs ``state``, or any stack sharing no memory with it;
-    after an error its contents are unspecified.  ``ops`` go to
-    :func:`step_diffusion`.  ``energy_before`` is the energy of ``state``
-    if the caller has it; checked mode computes it otherwise.
+    The reaction writes into a new stack, or into ``state.u`` when
+    ``in_place`` (the caller no longer needs ``state``; after an error its
+    contents are unspecified), and the diffusion then runs in place on
+    that stack, so the step holds at most one stack besides ``state``'s.
+    ``ops`` go to :func:`step_diffusion`.  ``energy_before`` is the energy
+    of ``state`` if the caller has it; checked mode computes it otherwise.
     """
     checked = options.checked
     if checked and energy_before is None:
         energy_before = discrete_energy(state, params)
-    star, solve = step_reaction(state, dt, params, tol=options.reaction_tol, out=out)
+    star, solve = step_reaction(state, dt, params, tol=options.reaction_tol, in_place=in_place)
     reaction_residual = solve.max_residual
     del solve  # its per-cell arrays leave the step's peak before the diffusion
     energy_star = discrete_energy(star, params) if checked else None
     next_state, reports = step_diffusion(
-        star, coeffs, dt, options.cg_tol, options.cg_max_iter, ops, star.u
+        star, coeffs, dt, options.cg_tol, options.cg_max_iter, ops, in_place=True
     )
     row = None
     if collect or checked:
@@ -255,7 +254,7 @@ def run_simulation(
         want_row = diagnostics_every > 0 and (k % diagnostics_every == 0 or k == tc.steps)
         state, row = full_step(
             state, tc.dt, params, coeffs, options, collect=want_row,
-            ops=ops, out=None if held else state.u,
+            ops=ops, in_place=not held,
             energy_before=None if row is None else row.energy,
         )
         # k * dt rather than a running sum of dt, which drifts by roundoff.

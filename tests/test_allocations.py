@@ -66,7 +66,7 @@ def test_reaction_stage_in_place_peak(state):
     # measured 3.13, where a copy of the stack would add 3
     work = State.from_stack(state.grid, state.u.copy())
     peak = _peak_in_fields(lambda: step_reaction(work, DT, ModelParams(1.0, 1.0, 1.0),
-                                                 out=work.u))
+                                                 in_place=True))
     assert peak <= 3.5, peak
 
 
@@ -75,7 +75,7 @@ def test_diffusion_stage_in_place_peak(state):
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
     ops = build_operators(state.grid, coeffs, DT)
     work = State.from_stack(state.grid, state.u.copy())
-    peak = _peak_in_fields(lambda: step_diffusion(work, coeffs, DT, ops=ops, out=work.u))
+    peak = _peak_in_fields(lambda: step_diffusion(work, coeffs, DT, ops=ops, in_place=True))
     assert peak <= 1.5, peak
 
 

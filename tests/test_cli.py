@@ -284,7 +284,7 @@ def check_contract(tmp_path, monkeypatch, capsys, argv, files, code, fragments):
     stderr; a fragment that starts with a prefix must start stderr.
     """
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     entries = sorted(tmp_path.iterdir())
     with warnings.catch_warnings(record=True) as caught:
@@ -449,7 +449,11 @@ CONTRACT = [
           ("duplicate-key", f"{_HEADER} t=5\n1.0\n2.0\n", 2),
           ("header-only", f"{_HEADER}\n", 3),
           ("bad-token", f"{_HEADER}\nabc\n2.0\n", 3),
-          ("unknown-key", f"{_HEADER} foo=1\n1.0\n2.0\n", 2)]),
+          ("unknown-key", f"{_HEADER} foo=1\n1.0\n2.0\n", 2),
+          # a byte outside ASCII was refused by the codec, without file or line
+          ("non-ascii-magic", _HEADER.replace("v1", "v1\u00e9") + "\n1.0\n2.0\n", 1),
+          ("non-ascii-header", f"{_HEADER}\u00e9\n1.0\n2.0\n", 2),
+          ("non-ascii-value", f"{_HEADER}\n1.0\n2.0\u00e9\n", 4)]),
     # refusal paths that no other test reaches
     ("test_cli_contract[cosine-unknown-key]",
      [*_RUN, "--set", 'diffusion.d_a={"profile":"cosine","width":1}'], {}, 2,
@@ -470,6 +474,12 @@ CONTRACT = [
      ["config error: initial:", "(-1, 1)^2"]),
     ("test_cli_contract[snapshot-missing]", _SNAPSHOT_RUN, {}, 2,
      ["initial.a: snapshot not found: init_a.txt"]),
+    # a no-break space (UTF-8 c2 a0) was refused by the codec, naming no file
+    ("test_cli_contract[non-ascii-snapshot-run]", _SNAPSHOT_RUN,
+     {**_snapshots(_PAPER_FIELDS), "init_b.txt": "".join(
+         ("\u00a0" if k == 41 else "") + line
+         for k, line in enumerate(_snapshots(_PAPER_FIELDS)["init_b.txt"].splitlines(True), 1))},
+     2, ["init_b.txt:41: "]),
     ("test_cli_contract[repeated-mesh-size]",
      ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.5,0.25]"], {}, 2,
      ["repeated mesh sizes"]),

@@ -180,9 +180,7 @@ def test_output_buffer_must_not_alias_the_input():
     with pytest.raises(ValueError, match="must not share memory"):
         step_diffusion_species(s.b, coeffs.d_b, dt=0.01, out=s.b.values)
     np.testing.assert_array_equal(s.u, before)
-    out, _ = step_diffusion(s, coeffs, dt=0.01, out=np.empty_like(s.u))
-    np.testing.assert_array_equal(out.u, expected.u)
-    in_place, _ = step_diffusion(s, coeffs, dt=0.01, out=s.u)
+    in_place, _ = step_diffusion(s, coeffs, dt=0.01, in_place=True)
     assert in_place.u is s.u
     np.testing.assert_array_equal(s.u.view(np.uint64), expected.u.view(np.uint64))
 
