@@ -14,18 +14,20 @@ variable coefficients the iteration count stays flat as the grid is
 refined (circulant preconditioning, Strang 1986, Chan 1988).
 
 A run builds what it does not change once, through :func:`build_operators`:
-per species the face coefficients and the preconditioner's symbol, and one
-workspace of scratch arrays that the three species share.  The stencil,
-the residual check and the spectral solve write into the workspace (the
-FFTs through their ``out=`` arguments); the CG iteration, which a constant
-coefficient never reaches, allocates its vectors z, p and A p per solve.
-These in-place forms keep the operation order of the plain array
+per species the face coefficients and the per-axis factors of the
+preconditioner's symbol, and one workspace of scratch arrays that the three
+species share.  The stencil, the residual check and the spectral solve
+write into the workspace (the FFTs through their ``out=`` arguments); the
+spectrum and the symbol live in the stencil's scratch, so each spectral
+solve forms the symbol from its factors.  The CG iteration, which a
+constant coefficient never reaches, allocates its vectors z, p and A p per
+solve.  These in-place forms keep the operation order of the plain array
 expressions, so they give the same bits.  A step may run in place on the
 input stack: each species is then solved into one scratch row, allocated
 per call, and copied into its own row after its solve, because CG reads u*
-until it has converged.  Into a new stack each solution goes straight
-into its row.  The driver runs the stage in place on the stack the
-reaction stage has just written.
+until it has converged.  Into a new stack each solution goes straight into
+its row.  The driver runs the stage in place on the stack the reaction
+stage has just written.
 
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
@@ -61,17 +63,23 @@ class LinearSolveReport:
 class _Workspace:
     """Scratch arrays for the diffusion solves of one run.
 
-    ``flux`` and ``tmp`` are the stencil's scratch, ``res`` holds the
-    residual and ``spec`` the rfftn spectrum of the spectral solve.  One
-    workspace serves the three species of every step in turn; no result is
-    left in it between solves.
+    ``res`` holds the residual.  One buffer holds the rest: ``flux`` and
+    ``tmp``, the stencil's scratch, are its two halves, and the complex
+    rfftn spectrum ``spec`` of the spectral solve lies at its head with the
+    preconditioner's ``symbol`` right after it.  The FFTs never run while
+    the stencil does, so these may overlap, and the symbol is formed in
+    every spectral solve.  One workspace serves the three species of every
+    step in turn; no result is left in it between solves.
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        self.flux = np.empty(shape)
-        self.tmp = np.empty(shape)
+        size, half = math.prod(shape), shape[:-1] + (shape[-1] // 2 + 1,)
+        nhalf = math.prod(half)
+        buf = np.empty(max(2 * size, 3 * nhalf))
+        self.flux, self.tmp = buf[:size].reshape(shape), buf[size:2 * size].reshape(shape)
+        self.spec = buf[:2 * nhalf].view(complex).reshape(half)
+        self.symbol = buf[2 * nhalf:3 * nhalf].reshape(half)
         self.res = np.empty(shape)
-        self.spec = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
 
 
 class _ImplicitDiffusionOperator:
@@ -84,19 +92,18 @@ class _ImplicitDiffusionOperator:
         self.work = _Workspace(grid.shape) if work is None else work
         # Face coefficients per physical axis; floats stay floats.
         self.faces = [face_coefficient(grid, d, axis) for axis in range(grid.dim)]
-        # rfftn symbol of M: 1 + sum_axes (dt 4 mean(D_face) / h^2) sin^2(pi k / N).
+        # Per-axis factors of M's rfftn symbol 1 + sum_axes (dt 4 mean(D_face)/h^2) sin^2(pi k/N).
         n = grid.n
-        self.symbol = np.ones([n] * (grid.dim - 1) + [n // 2 + 1])
+        self.factors = []
         for axis, dface in enumerate(self.faces):
             with np.errstate(over="ignore", divide="ignore"):  # refused below
                 scale = dt * 4.0 * np.mean(dface) / grid.h**2
             if not math.isfinite(grid.dim * float(scale)):  # the symbol sums dim of them
                 raise ValueError(f"diffusion coefficient too large for the preconditioner: "
                                  f"dt * 4 * mean(D) / h^2 = {scale:.3g} along axis {axis}")
-            array_axis = grid.dim - 1 - axis
-            k = np.arange(self.symbol.shape[array_axis]).reshape(
-                [-1 if i == array_axis else 1 for i in range(grid.dim)])
-            self.symbol += scale * np.sin(np.pi * k / n) ** 2
+            k = np.arange(n // 2 + 1 if axis == 0 else n).reshape([-1] + [1] * axis)
+            t = scale * np.sin(np.pi * k / n) ** 2
+            self.factors.append(1.0 + t if axis == 0 else t)
 
     def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``v - dt * div_grad(v)``, into ``out`` (allocated when None)."""
@@ -115,10 +122,15 @@ class _ImplicitDiffusionOperator:
 
         The steps of ``irfftn(rfftn(r) / symbol)``, run in the workspace's
         spectrum with the result written into ``out`` (allocated when None).
+        The symbol is summed per call, ``(1 + t_x) + t_y (+ t_z)``, as the stencil overwrites it.
         """
+        w = self.work
         axes = tuple(range(r.ndim))
-        spec = np.fft.rfftn(r, axes=axes, out=self.work.spec)
-        spec /= self.symbol
+        spec = np.fft.rfftn(r, axes=axes, out=w.spec)
+        symbol = self.factors[0]
+        for t in self.factors[1:]:
+            symbol = np.add(symbol, t, out=w.symbol)
+        spec /= symbol
         for axis in axes[:-1]:
             np.fft.ifft(spec, axis=axis, out=spec)
         return np.fft.irfft(spec, n=r.shape[-1], axis=-1, out=out)
@@ -127,7 +139,7 @@ class _ImplicitDiffusionOperator:
 def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
          tol: float, max_iter: int) -> LinearSolveReport:
     """Spectrally preconditioned CG into ``x`` from x0 = M^-1 b; residual is relative to ||b||."""
-    b_norm = float(np.linalg.norm(b.ravel()))
+    b_norm = math.sqrt(b.ravel().dot(b.ravel()))
     if not _NORM_RANGE[0] <= b_norm <= _NORM_RANGE[1]:
         peak = float(np.max(np.abs(b)))
         if peak == 0.0:
@@ -141,7 +153,7 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
         return report
     op.precondition(b, x)
     r = op.residual(b, x)
-    rel = float(np.linalg.norm(r.ravel())) / b_norm
+    rel = math.sqrt(r.ravel().dot(r.ravel())) / b_norm
     iterations = 0
     while not rel <= tol:  # a NaN residual enters the loop, to be refused
         if iterations >= max_iter or not math.isfinite(rel):
@@ -166,7 +178,7 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
         alpha = rz / pap
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(ap, alpha, out=z)
-        rel = float(np.linalg.norm(r.ravel())) / b_norm
+        rel = math.sqrt(r.ravel().dot(r.ravel())) / b_norm
         iterations += 1
     return LinearSolveReport(iterations, rel)
 

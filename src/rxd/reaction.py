@@ -118,7 +118,7 @@ def _solve_field(
     ``a``, ``b`` and ``c`` share one shape; ``dt`` is a float or an ndarray
     that broadcasts to it.  The cells are independent, so the result does
     not depend on the blocking.  Returns (r, iterations, max_residual) with
-    r and iterations shaped like the cells.
+    r and iterations shaped like the cells, iterations in the smallest type that holds max_iter.
     """
     shape = a.shape
     a, b, c = a.ravel(), b.ravel(), c.ravel()
@@ -126,7 +126,7 @@ def _solve_field(
     if per_cell_dt:
         dt = np.broadcast_to(dt, shape).ravel()
     r = np.empty(a.size)
-    iterations = np.zeros(a.size, dtype=np.int64)
+    iterations = np.zeros(a.size, dtype=np.min_scalar_type(max_iter))
     max_residual = 0.0
     for start in range(0, a.size, BLOCK):
         block = slice(start, start + BLOCK)
@@ -219,7 +219,8 @@ class ReactionSolveResult:
 
     ``r`` holds the per-cell trajectory increments (strictly inside
     (-min(k- c dt, c), min(a, b)) cellwise), ``iterations`` the per-cell
-    Newton counts, and ``max_residual`` the largest |G| accepted.
+    Newton counts (uint8, which holds :data:`DEFAULT_MAX_ITER`; their
+    ``sum()`` is a uint64), and ``max_residual`` the largest |G| accepted.
     """
 
     r: Field

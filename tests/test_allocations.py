@@ -47,27 +47,36 @@ def state():
 
 
 def test_reaction_stage_peak(state):
-    # the output stack (3), R (1) and the per-cell iteration counts (1)
+    # the output stack (3), R (1), the uint8 per-cell iteration counts (1/8)
+    # and one block's temporaries; measured 4.13 (5.0 with int64 counts)
     peak = _peak_in_fields(lambda: step_reaction(state, DT, ModelParams(1.0, 1.0, 1.0)))
-    assert peak <= 6.0, peak
+    assert peak <= 4.5, peak
+
+
+def test_operator_build_peak(state):
+    # the workspace: one buffer for the stencil scratch, the spectrum and the
+    # symbol (2) and the residual (1); measured 3.04, where three stored
+    # symbols and a separate spectrum gave 5.66
+    coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
+    peak = _peak_in_fields(lambda: build_operators(state.grid, coeffs, DT))
+    assert peak <= 3.25, peak
 
 
 def test_diffusion_stage_peak(state):
-    # the output stack (3), the workspace (3 arrays and a half-size complex
-    # spectrum, ~4), the three preconditioner symbols (3/2) and finiteness
-    # masks
+    # the output stack (3), the workspace (3) and finiteness masks; measured
+    # 6.40
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
     peak = _peak_in_fields(lambda: step_diffusion(state, coeffs, DT))
-    assert peak <= 9.0, peak
+    assert peak <= 6.75, peak
 
 
 def test_reaction_stage_in_place_peak(state):
-    # R (1), the per-cell iteration counts (1) and one block's temporaries;
-    # measured 3.13, where a copy of the stack would add 3
+    # R (1), the uint8 per-cell iteration counts (1/8) and one block's
+    # temporaries; measured 2.26, where a copy of the stack would add 3
     work = State.from_stack(state.grid, state.u.copy())
     peak = _peak_in_fields(lambda: step_reaction(work, DT, ModelParams(1.0, 1.0, 1.0),
                                                  in_place=True))
-    assert peak <= 3.5, peak
+    assert peak <= 2.5, peak
 
 
 def test_diffusion_stage_in_place_peak(state):
@@ -86,16 +95,16 @@ def test_energy_peak(state):
 
 
 def test_run_peak(state):
-    # 4 unchecked steps: the workspace and symbols (11/2), the one stack the
-    # run advances in place (3), and R, the iteration counts and one block's
-    # temporaries while the reaction runs (~3).  Measured 11.66; a second
-    # stack per step would exceed the budget.
+    # 4 unchecked steps: the workspace (3), the one stack the run advances in
+    # place (3), and R, the iteration counts and one block's temporaries
+    # while the reaction runs (~2.3).  Measured 8.29; a second stack per
+    # step would exceed the budget.
     tc = TimeConfig(DT, 4 * DT)
     options = SolverOptions(checked=False)
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
     peak = _peak_in_fields(
         lambda: run_simulation(state, tc, ModelParams(1.0, 1.0, 1.0), coeffs, options))
-    assert peak <= 12.0, peak
+    assert peak <= 8.75, peak
 
 
 def test_snapshot_writer_peak_is_chunk_bounded(state, tmp_path):

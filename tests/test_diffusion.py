@@ -138,12 +138,12 @@ def test_infinite_face_coefficient_is_refused():
 
 
 def test_non_finite_residual_is_not_converged():
-    # A NaN in the preconditioner's symbol makes the first residual NaN;
-    # `while rel > tol` alone would report convergence.
+    # A NaN in a factor of the preconditioner's symbol makes the first
+    # residual NaN; `while rel > tol` alone would report convergence.
     g = Grid.box(2, 64, -1.0, 1.0)
     u = Field(g, np.sin(np.pi * g.mesh()[0]) + 2.0)
     op = diffusion._ImplicitDiffusionOperator(g, 1.0, dt=0.01)
-    op.symbol[1, 1] = np.nan
+    op.factors[1][1] = np.nan
     with pytest.raises(ConvergenceError, match="relative residual nan"):
         step_diffusion_species(u, 1.0, dt=0.01, op=op)
 
@@ -317,6 +317,8 @@ def _coefficient(kind: str):
         return 0.8
     if kind == "callable":
         return lambda x, *rest: 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
+    if kind == "cosine":  # high contrast: faces from 0.1 to 1.9
+        return lambda x, *rest: 1.0 + 0.9 * np.cos(2.0 * np.pi * x)
     # "field": a coefficient field that varies along every axis, so the
     # faces normal to y and z carry non-constant values too.
     return lambda *xs: 1.0 + sum(0.25 * np.sin(2.0 * np.pi * x + k + 1.0)
@@ -345,13 +347,35 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+def _reference_symbol(g: Grid, faces, dt: float) -> np.ndarray:
+    # M's rfftn symbol as one whole array: np.ones, then one add per axis of
+    # dt 4 mean(D_face) / h^2 sin^2(pi k / N).
+    n = g.n
+    symbol = np.ones([n] * (g.dim - 1) + [n // 2 + 1])
+    for axis, dface in enumerate(faces):
+        array_axis = g.dim - 1 - axis
+        k = np.arange(symbol.shape[array_axis]).reshape(
+            [-1 if i == array_axis else 1 for i in range(g.dim)])
+        symbol += dt * 4.0 * np.mean(dface) / g.h**2 * np.sin(np.pi * k / n) ** 2
+    return symbol
+
+
+def _fill_nan(work) -> None:
+    for view in (work.flux, work.tmp, work.spec, work.symbol, work.res):
+        view[...] = np.nan
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["float", "callable", "field"])
+@pytest.mark.parametrize("kind", ["float", "callable", "cosine", "field"])
 def test_stencil_and_residual_match_roll_reference_bitwise(dim, n, kind):
     # The in-place stencil keeps the roll form's operation order, so both it
     # and the implicit residual must agree to the bit, whatever the caller's
-    # buffers held; half the cells sit near 1e-12.
+    # buffers held; half the cells sit near 1e-12.  The spectrum and the
+    # symbol share the workspace with the stencil's scratch, so the spectral
+    # solve forms the symbol per call and must match the whole-array
+    # reference to the bit.  Its views fill the whole workspace, made NaN
+    # before each call.
     g = Grid.box(dim, n)
     rng = np.random.default_rng(40 + 10 * dim + n)
     tiny = rng.uniform(size=(2, *g.shape)) < 0.5
@@ -364,13 +388,15 @@ def test_stencil_and_residual_match_roll_reference_bitwise(dim, n, kind):
     out, flux, tmp = (np.full(g.shape, np.nan) for _ in range(3))
     assert div_grad(x, faces, g.h, out, flux, tmp) is out
     np.testing.assert_array_equal(_bits(out), expected)
-    for dt in (1e-6, 1e-2, 10.0):
+    axes = tuple(range(dim))
+    for dt in (1e-6, 1e-2, 10.0, 100.0):
         op = diffusion._ImplicitDiffusionOperator(g, d, dt)
-        op.work.res[...] = np.nan
+        _fill_nan(op.work)
         np.testing.assert_array_equal(
             _bits(op.residual(b, x)), _bits(implicit_residual(b, x, faces, g.h, dt)))
-        axes = tuple(range(dim))
-        spectral = np.fft.irfftn(np.fft.rfftn(b, axes=axes) / op.symbol, s=b.shape, axes=axes)
+        symbol = _reference_symbol(g, faces, dt)
+        spectral = np.fft.irfftn(np.fft.rfftn(b, axes=axes) / symbol, s=b.shape, axes=axes)
+        _fill_nan(op.work)
         np.testing.assert_array_equal(_bits(op.precondition(b)), _bits(spectral))
 
 

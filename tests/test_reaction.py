@@ -235,6 +235,20 @@ def test_newton_iterations_on_benchmark_scene(dt, max_newton):
         s, _ = step_diffusion(star, coeffs, dt)
 
 
+def test_newton_counts_use_the_smallest_type_that_holds_max_iter():
+    # A count never exceeds max_iter; the sum over a field, which the
+    # benchmark harness takes, must still be the exact total.
+    rng = np.random.default_rng(60)
+    a, b, c = 10.0 ** rng.uniform(-14.0, 3.0, (3, 400, 400))
+    _, counts, _ = _solve_field(a, b, c, 1.0, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    _, wide, _ = _solve_field(a, b, c, 1.0, P_UNIT, DEFAULT_TOL, 1000)
+    assert (counts.dtype, wide.dtype) == (np.uint8, np.uint16)
+    np.testing.assert_array_equal(counts, wide)
+    total = int(counts.astype(np.int64).sum())
+    assert total > 255 and counts.sum() == total
+    assert step_reaction(_benchmark_scene(8), 0.01, P_UNIT)[1].iterations.dtype == np.uint8
+
+
 def test_bracket_endpoints_bound_the_residual():
     rng = np.random.default_rng(12)
     for _ in range(50):

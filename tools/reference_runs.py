@@ -1,4 +1,4 @@
-"""Run the six byte-identity reference runs and keep everything they produce.
+"""Run the seven byte-identity reference runs and keep everything they produce.
 
     python tools/reference_runs.py OUT_DIR
 
@@ -36,6 +36,8 @@ RUNS = {
     "run-cg-n256": ["run", *_sets("grid.n=256", "time.t_final=0.05", "output.snapshot_every=5",
                                   f"diffusion.d_a={_cosine(0.9)}",
                                   f"diffusion.d_c={_cosine(0.5)}")],
+    "run-odd-n63-cosine": ["run", *_sets("grid.n=63", f"diffusion.d_b={_cosine(0.9)}",
+                                         "output.snapshot_every=5")],
 }
 
 
