@@ -15,7 +15,7 @@ refined (circulant preconditioning, Strang 1986, Chan 1988).
 
 A run builds what it does not change once, through :func:`build_operators`:
 per species the face coefficients and the per-axis factors of the
-preconditioner's symbol, and one workspace of scratch arrays that the three
+preconditioner's symbol, and one workspace that the reaction and the three
 species share.  The stencil, the residual check and the spectral solve
 write into the workspace (the FFTs through their ``out=`` arguments); the
 spectrum and the symbol live in the stencil's scratch, so each spectral
@@ -42,6 +42,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import reaction
 from .errors import ConvergenceError, PositivityError
 from .grid import Coefficient, DiffusionCoeffs, Field, State, div_grad, face_coefficient
 
@@ -61,25 +62,27 @@ class LinearSolveReport:
 
 
 class _Workspace:
-    """Scratch arrays for the diffusion solves of one run.
+    """Scratch arrays for both stages of one run, all views of one buffer.
 
-    ``res`` holds the residual.  One buffer holds the rest: ``flux`` and
-    ``tmp``, the stencil's scratch, are its two halves, and the complex
-    rfftn spectrum ``spec`` of the spectral solve lies at its head with the
-    preconditioner's ``symbol`` right after it.  The FFTs never run while
-    the stencil does, so these may overlap, and the symbol is formed in
-    every spectral solve.  One workspace serves the three species of every
-    step in turn; no result is left in it between solves.
+    ``flux`` and ``tmp``, the stencil's scratch, are its first two field
+    sizes, the complex rfftn spectrum ``spec`` lies at its head with the
+    preconditioner's ``symbol`` right after it, and the residual ``res``
+    follows them.  The FFTs never run while the stencil does, so these may
+    overlap, and the symbol is formed in every spectral solve.  The
+    reaction's five block ``rows`` lie at the head too, as the two stages
+    never run at once.  No result is left in it between solves.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         size, half = math.prod(shape), shape[:-1] + (shape[-1] // 2 + 1,)
-        nhalf = math.prod(half)
-        buf = np.empty(max(2 * size, 3 * nhalf))
+        nhalf, block = math.prod(half), min(reaction.BLOCK, size)
+        end = max(2 * size, 3 * nhalf)
+        buf = np.empty(max(end + size, 5 * block))
         self.flux, self.tmp = buf[:size].reshape(shape), buf[size:2 * size].reshape(shape)
         self.spec = buf[:2 * nhalf].view(complex).reshape(half)
         self.symbol = buf[2 * nhalf:3 * nhalf].reshape(half)
-        self.res = np.empty(shape)
+        self.res = buf[end:end + size].reshape(shape)
+        self.rows = buf[:5 * block].reshape(5, block)
 
 
 class _ImplicitDiffusionOperator:

@@ -44,28 +44,25 @@ from .grid import Field, ModelParams, State
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100
 
-# Cells per block of the field solve: the ~10 block-sized temporaries of
-# one block (0.7 MB at this size) stay in a typical L2 cache, and each is
-# 64 KiB, below glibc's 128 KiB mmap threshold, so it is reused from the
-# heap instead of being mapped and faulted in afresh.
+# Cells per block of the field solve.  The closed form and the residual write
+# into five block-sized rows (320 KiB, in a typical L2 cache), which a run keeps
+# in its diffusion workspace, so no step allocates or faults them in afresh.
 BLOCK = 8192
 
 _TINY = float(np.nextafter(0.0, 1.0))
 
 
-def _residual(r, a, b, c, cdt, p: ModelParams):
-    """G(R); accepts scalars or ndarrays strictly inside the bracket, R / cdt finite or not."""
+def _residual(r, a, b, c, cdt, p: ModelParams, out=None, tmp=None):
+    """G(R) into ``out`` with scratch ``tmp`` (new arrays when None); R / cdt finite or not."""
     with np.errstate(over="ignore"):
-        ratio = np.log1p(r / cdt)
+        ratio = np.log1p(np.divide(r, cdt, out=out), out=out)
     if ratio.max() == np.inf:
         over = np.isinf(ratio)
         ratio[over] = np.log(r[over]) - np.log(cdt[over])
-    return (
-        ratio
-        - np.log((a - r) / p.a_inf)
-        - np.log((b - r) / p.b_inf)
-        + np.log((c + r) / p.c_inf)
-    )
+    # ((ratio - ln((a - r)/a_inf)) - ln((b - r)/b_inf)) + ln((c + r)/c_inf)
+    for op, x, ref in ((np.subtract, a, p.a_inf), (np.subtract, b, p.b_inf), (np.add, c, p.c_inf)):
+        ratio = op(ratio, np.log(np.divide(op(x, r, out=tmp), ref, out=tmp), out=tmp), out=ratio)
+    return ratio
 
 
 def _newton_step(g, r, a, b, c, cdt):
@@ -112,16 +109,23 @@ def _solve_field(
     params: ModelParams,
     tol: float,
     max_iter: int,
+    rows=None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Solve every cell, :data:`BLOCK` cells at a time; see :func:`_solve_block`.
 
     ``a``, ``b`` and ``c`` share one shape; ``dt`` is a float or an ndarray
     that broadcasts to it.  The cells are independent, so the result does
-    not depend on the blocking.  Returns (r, iterations, max_residual) with
-    r and iterations shaped like the cells, iterations in the smallest type that holds max_iter.
+    not depend on the blocking.  ``rows`` are five scratch rows of at least
+    min(BLOCK, cells) doubles, allocated when None.  Returns (r, iterations,
+    max_residual) with r and iterations shaped like the cells, iterations in
+    the smallest type that holds max_iter.
     """
     shape = a.shape
     a, b, c = a.ravel(), b.ravel(), c.ravel()
+    need = (5, min(BLOCK, a.size))
+    rows = np.empty(need) if rows is None else rows
+    if rows.shape[0] != 5 or rows.shape[1] < need[1]:  # a slice would drop cells
+        raise ValueError(f"reaction rows of shape {rows.shape} cannot hold blocks of shape {need}")
     per_cell_dt = isinstance(dt, np.ndarray)
     if per_cell_dt:
         dt = np.broadcast_to(dt, shape).ravel()
@@ -132,20 +136,21 @@ def _solve_field(
         block = slice(start, start + BLOCK)
         residual = _solve_block(
             a[block], b[block], c[block], dt[block] if per_cell_dt else dt,
-            params, tol, max_iter, r[block], iterations[block], start,
+            params, tol, max_iter, r[block], iterations[block], start, rows,
         )
         max_residual = np.maximum(max_residual, residual)  # NaN propagates, as in np.max
     return r.reshape(shape), iterations.reshape(shape), float(max_residual)
 
 
 def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
-                 r_out: np.ndarray, iterations: np.ndarray, offset: int) -> float:
+                 r_out: np.ndarray, iterations: np.ndarray, offset: int, rows) -> float:
     """Closed-form root, then safeguarded Newton over the unconverged cells.
 
-    Solves one block of flat cells in place in ``r_out``, adds the per-cell
-    Newton counts to ``iterations`` and returns the largest accepted |G|.
-    The bracket (-min(k- c dt, c), min(a, b)) is narrowed by the sign of G at
-    0, at the closed form and at every iterate.  A Newton step is taken only
+    Solves one block of flat cells in place in ``r_out`` (``rows`` hold the
+    closed form, the bracket and the first G), adds the per-cell Newton
+    counts to ``iterations`` and returns the largest accepted |G|.  The
+    bracket (-min(k- c dt, c), min(a, b)) is narrowed by the sign of G at 0,
+    at the closed form and at every iterate.  A Newton step is taken only
     while it lands inside and is below half the step before last (rtsafe's
     test), so it cannot creep toward a singularity; any other step goes
     halfway in the log of the distance to the singularity nearer the bracket.
@@ -154,9 +159,10 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
     overflowing k- c dt is refused: its equation is not the configured one.
     """
     flat = lambda arr: float(np.broadcast_to(arr, a.shape)[cell])  # noqa: E731
+    cdt, big_a, big_b, q, tmp = rows[:, :a.size]
     try:
         with np.errstate(over="raise"):
-            cdt = params.k_minus * c * dt
+            np.multiply(np.multiply(params.k_minus, c, out=cdt), dt, out=cdt)
     except FloatingPointError:
         with np.errstate(over="ignore"):
             cell = int(np.argmax(np.isinf(params.k_minus * c * dt)))
@@ -165,20 +171,27 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
     # k- c dt underflows to 0 for dt near 5e-324; its nearest positive double
     # keeps G defined and moves R by less than the last bit of a, b and c.
     np.maximum(cdt, _TINY, out=cdt)
-    s_lo, s_hi = -np.minimum(cdt, c), np.minimum(a, b)
     # The quadratic's bracketed root; q = C/B.  Huge rate constants overflow
     # B; the bracket test below replaces a non-finite root with 0.
-    ab_inf = params.a_inf * params.b_inf
+    ab_inf, c_inf = params.a_inf * params.b_inf, params.c_inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        big_a = ab_inf - params.c_inf * cdt
-        big_b = ab_inf * (c + cdt) + params.c_inf * cdt * (a + b)
-        q = (ab_inf * c - params.c_inf * a * b) * (cdt / big_b)
-        r = np.divide(-2.0 * q, 1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * big_a * q / big_b)),
-                      out=r_out)
-    del big_a, big_b, q
+        # A = ab_inf - c_inf cdt;  B = ab_inf (c + cdt) + (c_inf cdt) (a + b)
+        np.subtract(ab_inf, np.multiply(c_inf, cdt, out=big_a), out=big_a)
+        np.multiply(ab_inf, np.add(c, cdt, out=big_b), out=big_b)
+        np.multiply(np.multiply(c_inf, cdt, out=tmp), np.add(a, b, out=q), out=tmp)
+        np.add(big_b, tmp, out=big_b)
+        # q = (ab_inf c - (c_inf a) b) (cdt / B)
+        np.multiply(ab_inf, c, out=q)
+        np.subtract(q, np.multiply(np.multiply(c_inf, a, out=tmp), b, out=tmp), out=q)
+        np.multiply(q, np.divide(cdt, big_b, out=tmp), out=q)
+        # r = (-2 q) / (1 + sqrt(max(0, 1 - ((4 A) q) / B)))
+        np.divide(np.multiply(np.multiply(4.0, big_a, out=big_a), q, out=big_a), big_b, out=big_a)
+        np.sqrt(np.maximum(0.0, np.subtract(1.0, big_a, out=big_a), out=big_a), out=big_a)
+        r = np.divide(np.multiply(-2.0, q, out=tmp), np.add(1.0, big_a, out=big_a), out=r_out)
+    s_lo, s_hi = np.negative(np.minimum(cdt, c, out=big_a), out=big_a), np.minimum(a, b, out=tmp)
     np.copyto(r, 0.0, where=~((r > s_lo) & (r < s_hi)))
-    g = _residual(r, a, b, c, cdt, params)
-    active = ~(np.abs(g) <= tol)
+    g = _residual(r, a, b, c, cdt, params, big_b, q)
+    active = ~(np.abs(g, out=q) <= tol)
     if active.any():
         lo, hi = _fold(0.0, _residual(0.0, a, b, c, cdt, params), s_lo, s_hi)
         lo, hi = _fold(r, g, lo, hi)
@@ -210,7 +223,7 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
             f"a={flat(a)!r} b={flat(b)!r} c={flat(c)!r} dt={flat(dt)!r} "
             f"residual {flat(np.abs(g))!r} > tol {tol!r}"
         )
-    return float(np.max(np.abs(g)))
+    return float(np.max(np.abs(g, out=q)))
 
 
 @dataclass
@@ -234,6 +247,7 @@ def step_reaction(
     params: ModelParams,
     tol: float = DEFAULT_TOL,
     in_place: bool = False,
+    work=None,
 ) -> tuple[State, ReactionSolveResult]:
     """Advance the reaction subproblem: a* = a - R, b* = b - R, c* = c + R.
 
@@ -244,12 +258,17 @@ def step_reaction(
 
     The new state is written into a new stack, or into ``state.u`` itself
     when ``in_place`` (every R is found before any row is written; after an
-    error its contents are unspecified).
+    error its contents are unspecified).  The solve's scratch rows are those
+    of ``work``, the run's diffusion workspace for this grid, or new ones.
     """
     if not dt > 0.0:
         raise PositivityError(f"step_reaction: dt must be positive, got {dt}")
     state.require_positive("step_reaction")
-    r, iterations, max_residual = _solve_field(*state.u, dt, params, tol, DEFAULT_MAX_ITER)
+    if work is not None and work.res.shape != state.grid.shape:
+        raise ValueError(f"step_reaction: workspace was built for grid shape "
+                         f"{work.res.shape}, not {state.grid.shape}")
+    r, iterations, max_residual = _solve_field(*state.u, dt, params, tol, DEFAULT_MAX_ITER,
+                                               None if work is None else work.rows)
     u = state.u if in_place else np.empty_like(state.u)
     np.subtract(state.u[:2], r, out=u[:2])
     np.add(state.u[2], r, out=u[2])

@@ -179,13 +179,15 @@ def full_step(
     ``in_place`` (the caller no longer needs ``state``; after an error its
     contents are unspecified), and the diffusion then runs in place on
     that stack, so the step holds at most one stack besides ``state``'s.
-    ``ops`` go to :func:`step_diffusion`.  ``energy_before`` is the energy
+    ``ops`` (built here when None) go to :func:`step_diffusion`, their
+    workspace to :func:`step_reaction`.  ``energy_before`` is the energy
     of ``state`` if the caller has it; checked mode computes it otherwise.
     """
     checked = options.checked
     if checked and energy_before is None:
         energy_before = discrete_energy(state, params)
-    star, solve = step_reaction(state, dt, params, tol=options.reaction_tol, in_place=in_place)
+    ops = build_operators(state.grid, coeffs, dt) if ops is None else ops
+    star, solve = step_reaction(state, dt, params, options.reaction_tol, in_place, ops[0].work)
     reaction_residual = solve.max_residual
     del solve  # its per-cell arrays leave the step's peak before the diffusion
     energy_star = discrete_energy(star, params) if checked else None

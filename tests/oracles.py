@@ -4,7 +4,8 @@ Everything here is written from the defining formulas, deliberately not
 reusing the production code paths it is used to check: a brute-force stencil
 and an ``np.roll`` stencil for the diffusion operator, conjugate gradients
 with a new array per vector, bisection on the reaction trajectory equation,
-its exact sign in rational arithmetic, and an RK4 integrator for the
+its exact sign in rational arithmetic, the reaction field solve written as
+one plain array expression per quantity, and an RK4 integrator for the
 reaction-only ODE.
 """
 
@@ -119,6 +120,69 @@ def exact_trajectory_sign(r, a, b, c, cdt, a_inf=1.0, b_inf=1.0, c_inf=1.0) -> i
     r, a, b, c, cdt, a_inf, b_inf, c_inf = map(Fraction, (r, a, b, c, cdt, a_inf, b_inf, c_inf))
     d = a_inf * b_inf * (r + cdt) * (c + r) - c_inf * cdt * (a - r) * (b - r)
     return (d > 0) - (d < 0)
+
+
+def reaction_residual_plain(r, a, b, c, cdt, p):
+    """The solve's G(R) at ``cdt`` = k- c dt, as plain expressions; R / cdt may overflow."""
+    with np.errstate(over="ignore"):
+        ratio = np.log1p(r / cdt)
+    if ratio.max() == np.inf:
+        over = np.isinf(ratio)
+        ratio[over] = np.log(r[over]) - np.log(cdt[over])
+    return ratio - np.log((a - r) / p.a_inf) - np.log((b - r) / p.b_inf) + np.log((c + r) / p.c_inf)
+
+
+def reaction_solve_plain(a, b, c, dt, p, tol: float, max_iter: int):
+    """The reaction field solve over all cells at once, one new array per quantity.
+
+    The closed-form root, its bracket test and the safeguarded Newton polish
+    of ``rxd.reaction``, in the same operations and order, so the two agree
+    bitwise.  Returns (r, iterations, max |G|); a cell still unconverged
+    after ``max_iter`` iterations is returned as it stands.
+    """
+    cdt = np.maximum(p.k_minus * c * dt, np.nextafter(0.0, 1.0))
+    s_lo, s_hi = -np.minimum(cdt, c), np.minimum(a, b)
+    ab_inf = p.a_inf * p.b_inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        big_a = ab_inf - p.c_inf * cdt
+        big_b = ab_inf * (c + cdt) + p.c_inf * cdt * (a + b)
+        q = (ab_inf * c - p.c_inf * a * b) * (cdt / big_b)
+        r = -2.0 * q / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * big_a * q / big_b)))
+    r = np.where((r > s_lo) & (r < s_hi), r, 0.0)
+
+    def residual(x):
+        return reaction_residual_plain(x, a, b, c, cdt, p)
+
+    def fold(point, g, lo, hi):
+        return (np.where(g < 0.0, np.maximum(lo, point), lo),
+                np.where(g >= 0.0, np.minimum(hi, point), hi))
+
+    g = residual(r)
+    iterations = np.zeros(r.shape, dtype=np.int64)
+    active = ~(np.abs(g) <= tol)
+    lo, hi = fold(r, g, *fold(0.0, residual(0.0), s_lo, s_hi))
+    before_last = last = np.inf
+    for _ in range(max_iter):
+        active &= ~((np.abs(g) <= tol) | (np.nextafter(lo, hi) >= hi))
+        if not active.any():
+            break
+        d = (r + cdt, a - r, b - r, c + r)
+        m = np.min(d, axis=0)
+        dx = g * m / sum(m / x for x in d)
+        cand = r - dx
+        cand = np.where(cand == r, np.nextafter(r, np.where(g < 0.0, hi, lo)), cand)
+        newton = (cand > lo) & (cand < hi) & (np.abs(dx) < 0.5 * before_last)
+        near = np.where(lo - s_lo <= s_hi - hi, s_lo, s_hi)
+        distance = np.sqrt(np.abs(lo - near)) * np.sqrt(np.abs(hi - near))
+        mid = np.clip(near + np.sign(r - near) * distance,
+                      np.nextafter(lo, hi), np.nextafter(hi, lo))
+        step = np.where(newton, cand, mid)
+        before_last, last = last, np.abs(step - r)
+        r = np.where(active, step, r)
+        iterations += active
+        g = np.where(active, residual(r), g)
+        lo, hi = fold(r, g, lo, hi)
+    return r, iterations, float(np.max(np.abs(g)))
 
 
 def reaction_rhs(y: np.ndarray) -> np.ndarray:

@@ -19,9 +19,10 @@ from rxd import (
     step_diffusion,
     step_reaction,
 )
-from rxd import reaction
+from rxd import diffusion, reaction
 from rxd.reaction import BLOCK, DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_field
-from oracles import bisect_reaction, exact_trajectory_sign, rk4_reaction, trajectory_residual
+from oracles import bisect_reaction, exact_trajectory_sign, reaction_residual_plain
+from oracles import reaction_solve_plain, rk4_reaction, trajectory_residual
 
 P_UNIT = ModelParams(1.0, 1.0, 1.0)
 
@@ -179,6 +180,71 @@ def test_blocked_solve_matches_one_block(monkeypatch, shape, per_cell_dt):
     assert blocked[1].max() > 0  # the Newton loop ran in some block
     r = blocked[0]
     assert np.all(a - r > 0.0) and np.all(b - r > 0.0) and np.all(c + r > 0.0)
+
+
+def _nan_workspace(shape):
+    work = diffusion._Workspace(shape)
+    for view in (work.flux, work.tmp, work.res, work.rows):
+        view.fill(np.nan)
+    return work
+
+
+@pytest.mark.parametrize("shape", [(BLOCK - 1,), (BLOCK + 1,), (2 * BLOCK + 7,), (129, 129)])
+@pytest.mark.parametrize("dt", [None, 100.0, 1e-310])
+@pytest.mark.parametrize("params", [ModelParams(1.0, 1.0, 1.0, 2.0, 2.0),  # k- dt > 1 for dt > 1/2
+                                    ModelParams(0.3, 0.7, 0.35, 1.0, 0.6)])  # no power of two
+def test_solve_through_workspace_rows_matches_plain_expressions(shape, dt, params):
+    # Scratch rows read before they are written would carry the NaN into R.
+    a, b, c, per_cell_dt = _mixed_cells(shape, seed=sum(shape))
+    overflow = dt != 100.0
+    dt = per_cell_dt if dt is None else dt
+    # With dt = 1e-310, R / (k- c dt) overflows at the closed form, so
+    # ln(1 + R/(k- c dt)) is taken as a difference of logarithms.
+    a.flat[3::211] = b.flat[3::211] = 1e154
+    c.flat[3::211] = 1e-5
+    if isinstance(dt, np.ndarray):
+        dt.flat[3::211] = 1e-310
+    work = _nan_workspace(shape)
+    got = _solve_field(a, b, c, dt, params, DEFAULT_TOL, DEFAULT_MAX_ITER, work.rows)
+    want = reaction_solve_plain(a, b, c, dt, params, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert got[1].max() > 0  # the polish loop ran
+    cdt = np.maximum(params.k_minus * c * dt, np.nextafter(0.0, 1.0))
+    out, tmp = np.full((2, *shape), np.nan)
+    g = reaction._residual(got[0], a, b, c, cdt, params, out, tmp)
+    np.testing.assert_array_equal(
+        g.view(np.uint64), reaction_residual_plain(got[0], a, b, c, cdt, params).view(np.uint64))
+    if overflow:
+        with np.errstate(over="ignore"):
+            assert np.isinf(got[0].flat[3] / (params.k_minus * 1e-5 * 1e-310))
+
+
+def test_foreign_workspace_is_refused(monkeypatch):
+    state = State.uniform(Grid.box(2, 16), 2.0, 2.0, 1.0)
+    before = state.u.copy()
+    with pytest.raises(ValueError, match=r"grid shape \(8, 8\), not \(16, 16\)"):
+        step_reaction(state, 0.1, P_UNIT, in_place=True, work=diffusion._Workspace((8, 8)))
+    monkeypatch.setattr(reaction, "BLOCK", 100)
+    short = diffusion._Workspace((16, 16))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"rows of shape \(5, 100\) cannot hold blocks "
+                                         r"of shape \(5, 256\)"):
+        step_reaction(state, 0.1, P_UNIT, in_place=True, work=short)
+    np.testing.assert_array_equal(state.u, before)
+
+
+def test_workspace_rows_serve_a_smaller_block(monkeypatch):
+    # Rows sized for a larger BLOCK than the one in force are sliced per block.
+    a, b, c, dt = _mixed_cells((2 * 300 + 7,), seed=3)
+    rows = _nan_workspace(a.shape).rows
+    want = _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    monkeypatch.setattr(reaction, "BLOCK", 300)
+    got = _solve_field(a, b, c, dt, P_UNIT, DEFAULT_TOL, DEFAULT_MAX_ITER, rows)
+    np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
 
 
 def test_stall_in_a_later_block_names_its_global_cell():

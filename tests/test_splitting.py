@@ -303,7 +303,8 @@ def test_in_place_stages_match_out_of_place_bitwise(case):
     # alone.  With in_place it updates its input's own stack: the reaction
     # finds every R before it writes a row, the diffusion solves each species
     # into a scratch row.  full_step is the out-of-place composition, in one
-    # stack.
+    # stack, with the same bits when given the run's operators, whose
+    # workspace (here full of NaN) is then the reaction's scratch too.
     initial, tc, coeffs = _stepper_case(case)
     u0 = _bits(initial).copy()
     star, solve = reaction.step_reaction(initial, tc.dt, P_UNIT)
@@ -330,6 +331,12 @@ def test_in_place_stages_match_out_of_place_bitwise(case):
     stepped_in, row_in = full_step(work, tc.dt, P_UNIT, coeffs, in_place=True)
     assert stepped_in.u is work.u and row_in == row
     np.testing.assert_array_equal(_bits(stepped_in), _bits(expected))
+    ops = diffusion.build_operators(initial.grid, coeffs, tc.dt)
+    for view in (ops[0].work.flux, ops[0].work.tmp, ops[0].work.res, ops[0].work.rows):
+        view.fill(np.nan)
+    stepped_ops, row_ops = full_step(initial, tc.dt, P_UNIT, coeffs, ops=ops)
+    assert row_ops == row
+    np.testing.assert_array_equal(_bits(stepped_ops), _bits(expected))
 
 
 def test_checked_run_computes_energy_twice_per_step(monkeypatch):

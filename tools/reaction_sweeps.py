@@ -8,9 +8,12 @@ checkouts can be compared on one host.  Each sweep solves its cells with
 an iteration cap of ten times the default, so that cells which would hit
 the default cap are counted instead of raising.  For each sweep it prints
 the most iterations of any cell, the cells that take more than 10, the
-cells that reach the default cap, and the time of the ``_solve_field``
-call.  A sweep that warns or fails prints the exception in place of its
-counts.  The sweeps are:
+cells that reach the default cap, the time of the ``_solve_field`` call and
+the SHA-256 digest of its R, iteration counts and max |G| (as bytes), so
+that two checkouts can be compared bit for bit.  A sweep that warns or
+fails prints the exception in place of its counts.  The exit code is 1 if
+any sweep warns, fails or has a cell at the default cap, else 0.  The
+sweeps are:
 
 - ``unit dt=...``: 200,000 cells with a, b, c log-uniform in [1e-14, 1e3],
   unit parameters, at six step sizes;
@@ -23,6 +26,7 @@ counts.  The sweeps are:
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 import warnings
@@ -59,22 +63,28 @@ def main(argv: list[str]) -> int:
     from rxd import ModelParams
     from rxd.reaction import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_field
 
-    print(f"{'sweep':<26} {'most':>5} {'> 10':>7} {'at cap':>7} {'ms':>8}")
+    print(f"{'sweep':<26} {'most':>5} {'> 10':>7} {'at cap':>7} {'ms':>8}  sha256")
+    failed = False
     for name, a, b, c, dt, rates in sweeps():
         params = ModelParams(*rates)
         start = time.perf_counter()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, iterations, _ = _solve_field(a, b, c, dt, params, DEFAULT_TOL,
-                                                10 * DEFAULT_MAX_ITER)
+                r, iterations, max_residual = _solve_field(a, b, c, dt, params, DEFAULT_TOL,
+                                                           10 * DEFAULT_MAX_ITER)
         except (ArithmeticError, RuntimeError, ValueError, Warning) as exc:
             print(f"{name:<26} {type(exc).__name__}: {exc}")
+            failed = True
             continue
         ms = 1e3 * (time.perf_counter() - start)
+        at_cap = np.count_nonzero(iterations >= DEFAULT_MAX_ITER)
+        failed |= at_cap > 0
+        digest = hashlib.sha256(r.tobytes() + iterations.tobytes()
+                                + np.float64(max_residual).tobytes()).hexdigest()
         print(f"{name:<26} {iterations.max():>5} {np.count_nonzero(iterations > 10):>7} "
-              f"{np.count_nonzero(iterations >= DEFAULT_MAX_ITER):>7} {ms:>8.0f}")
-    return 0
+              f"{at_cap:>7} {ms:>8.0f}  {digest}")
+    return int(failed)
 
 
 if __name__ == "__main__":
