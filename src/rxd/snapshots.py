@@ -198,6 +198,8 @@ def read_field(src: Union[str, os.PathLike, TextIO]) -> tuple[Field, float]:
         pairs = [token.partition("=")[::2] for token in header.split()]
         fields = dict(pairs)
         try:
+            if "_" in header:  # int() and float() take "_" digit separators
+                raise ValueError("'_' in a number")
             if sorted(key for key, _ in pairs) != sorted(_HEADER_KEYS):
                 raise ValueError(f"needs the keys {' '.join(_HEADER_KEYS)} once each")
             lower = tuple(float(x) for x in fields["lower"].split(","))
@@ -211,11 +213,13 @@ def read_field(src: Union[str, os.PathLike, TextIO]) -> tuple[Field, float]:
         chunks = []
         while lines := list(islice(fh, _READ_LINES)):
             try:
+                if "_" in "".join(lines):  # numpy, like float(), takes "_" digit separators
+                    raise ValueError
                 chunks.append(np.array(lines, dtype=float))
             except ValueError:
                 for lineno, line in enumerate(lines, start=3 + sum(map(len, chunks))):
                     try:
-                        float(line)
+                        float(line.replace("_", "x"))  # no number holds an "x"
                     except ValueError:
                         raise ValueError(f"{name}:{lineno}: expected one value per line, "
                                          f"found {line.rstrip()!r}") from None

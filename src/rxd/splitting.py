@@ -220,6 +220,7 @@ def run_simulation(
     diagnostics_every: int = 1,
     snapshot_every: int = 0,
     on_snapshot: Optional[Callable[[int, State], None]] = None,
+    in_place: bool = False,
 ) -> tuple[State, list[DiagnosticsRow]]:
     """Run ``tc.steps`` full steps from ``initial``.
 
@@ -233,9 +234,12 @@ def run_simulation(
     The diffusion operators and their workspace are built once for the
     run, before the first snapshot, so a coefficient they refuse is refused
     before any output.  A step advances the stack of the state it started
-    from in place, unless a caller holds that state: the initial state and
-    the states handed to ``on_snapshot`` are never overwritten, and a step
-    from one of them writes a new stack, which later steps then reuse.
+    from in place, unless a caller holds that state: the states handed to
+    ``on_snapshot`` are never overwritten, and a step from one of them
+    writes a new stack, which later steps then reuse.  ``initial`` is held
+    too, unless ``in_place`` (the caller no longer needs it; after an error
+    its contents are unspecified) and snapshots are off: with snapshots on,
+    ``on_snapshot`` has seen it as step 0.
     """
     initial.require_positive("run_simulation initial state")
     rows: list[DiagnosticsRow] = []
@@ -251,7 +255,7 @@ def run_simulation(
     if snapshots:
         on_snapshot(0, initial)
 
-    state, held = initial, True
+    state, held = initial, snapshots or not in_place
     for k in range(1, tc.steps + 1):
         want_row = diagnostics_every > 0 and (k % diagnostics_every == 0 or k == tc.steps)
         state, row = full_step(

@@ -44,7 +44,7 @@ class Scene:
     upper: tuple[float, ...]
     params: ModelParams
     coeffs: DiffusionCoeffs
-    initial: Callable[[Grid], State]
+    initial: Callable[[Grid], State]  # a new state per call: a study's runs consume it
     options: SolverOptions = SolverOptions(checked=False)
 
     @property
@@ -212,7 +212,8 @@ def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: lis
     turns one species' column of differences into its orders.
     """
     finals = [run_simulation(scene.initial(g), tc, scene.params, scene.coeffs,
-                             options=scene.options, diagnostics_every=0)[0] for g, tc in runs]
+                             options=scene.options, diagnostics_every=0, in_place=True)[0]
+              for g, tc in runs]
     errors = [
         tuple(
             compare_fields(f, g)

@@ -7,7 +7,8 @@ sizes; the inputs, outputs and scratch arrays each stage needs fit within it.
 Each stage can also run in place on its input's stack, where its peak is
 only its own temporaries.  A run keeps one workspace for both stages and
 advances one stack in place, so its peak over several steps is bounded as
-tightly as one step's.
+tightly as one step's; a run given its initial state to advance holds no
+stack of its own.
 The snapshot writer formats a fixed-size chunk at a time, so its peak does
 not grow with the field.
 """
@@ -117,6 +118,19 @@ def test_run_peak(state):
     peak = _peak_in_fields(
         lambda: run_simulation(state, tc, ModelParams(1.0, 1.0, 1.0), coeffs, options))
     assert peak <= 7.75, peak
+
+
+def test_run_in_place_peak(state):
+    # the run of test_run_peak advancing the initial stack itself: the
+    # workspace (3) and R, the iteration counts and the reaction's smaller
+    # temporaries (~1.4); measured 4.41, where a second stack adds 3
+    tc = TimeConfig(DT, 4 * DT)
+    options = SolverOptions(checked=False)
+    coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
+    starts = [State.from_stack(state.grid, state.u.copy()) for _ in range(2)]  # call and warm-up
+    peak = _peak_in_fields(lambda: run_simulation(
+        starts.pop(), tc, ModelParams(1.0, 1.0, 1.0), coeffs, options, in_place=True))
+    assert peak <= 4.75, peak
 
 
 def test_snapshot_writer_peak_is_chunk_bounded(state, tmp_path):

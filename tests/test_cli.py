@@ -441,6 +441,10 @@ CONTRACT = [
     ("test_inspect_refuses_two_values_per_line", ["inspect", "wide.txt"],
      {"wide.txt": "rxd-field v1\ndim=2 n=2 lower=0,0 upper=1,1 t=0\n1 2\n3 4\n"}, 2,
      ["one value per line"]),
+    # float() and numpy take Python's digit separators: this read as max=30
+    ("test_cli_contract[inspect-underscore-separator]", ["inspect", "snap.txt"],
+     {"snap.txt": "rxd-field v1\ndim=2 n=2 lower=0,0 upper=1,1 t=0\n1\n2\n3_0\n4\n"}, 2,
+     ["invalid input: snap.txt:5: expected one value per line, found '3_0'\n"]),
     *((f"test_inspect_refuses_malformed_snapshots[{case}]", ["inspect", "snap.txt"],
        {"snap.txt": text}, 2, [f"snap.txt:{line}: "]) for case, text, line in [
           ("blank-line", f"{_HEADER}\n1.0\n\n2.0\n", 4),
@@ -450,6 +454,8 @@ CONTRACT = [
           ("header-only", f"{_HEADER}\n", 3),
           ("bad-token", f"{_HEADER}\nabc\n2.0\n", 3),
           ("unknown-key", f"{_HEADER} foo=1\n1.0\n2.0\n", 2),
+          # int() and float() take "_" digit separators: this read as n=2, upper=10
+          ("header-underscore", "rxd-field v1\ndim=1 n=0_2 lower=0 upper=1_0 t=0\n1\n2\n", 2),
           # a byte outside ASCII was refused by the codec, without file or line
           ("non-ascii-magic", _HEADER.replace("v1", "v1\u00e9") + "\n1.0\n2.0\n", 1),
           ("non-ascii-header", f"{_HEADER}\u00e9\n1.0\n2.0\n", 2),

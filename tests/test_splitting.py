@@ -269,12 +269,15 @@ def _stepper_case(name):
 
 @pytest.mark.parametrize("case", ["constant-2d", "cosine-2d", "tiny-1d", "dt100-3d"])
 @pytest.mark.parametrize("snapshot_every", [0, 2])
-def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every):
+@pytest.mark.parametrize("in_place", [False, True])
+def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every, in_place):
     # The run reuses its operators, workspace and the stacks of states no
-    # caller holds; a loop of standalone steps builds everything anew.
+    # caller holds; a loop of standalone steps builds everything anew.  With
+    # in_place the run advances the initial stack itself, unless on_snapshot
+    # has seen it as step 0.
     initial, tc, coeffs = _stepper_case(case)
     u0 = initial.u.copy()
-    states, rows = [initial], []
+    states, rows = [State.from_stack(initial.grid, u0.copy(), initial.time)], []
     for _ in range(tc.steps):
         state, row = full_step(states[-1], tc.dt, P_UNIT, coeffs)
         states.append(state)
@@ -282,13 +285,17 @@ def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every):
     assert case != "cosine-2d" or all(row.cg_iters_b > 0 for row in rows)
     kept = []
     final, run_rows = run_simulation(initial, tc, P_UNIT, coeffs, snapshot_every=snapshot_every,
-                                     on_snapshot=lambda k, state: kept.append((k, state)))
-    np.testing.assert_array_equal(initial.u, u0)
-    np.testing.assert_array_equal(final.u, states[-1].u)
+                                     on_snapshot=lambda k, state: kept.append((k, state)),
+                                     in_place=in_place)
+    np.testing.assert_array_equal(_bits(final), _bits(states[-1]))
+    consumed = in_place and not snapshot_every
+    assert np.shares_memory(final.u, initial.u) == consumed
+    if not consumed:
+        np.testing.assert_array_equal(_bits(initial), u0.view(np.uint64))
     assert [k for k, _ in kept] == (list(range(0, tc.steps + 1, snapshot_every))
                                     if snapshot_every else [])
-    for k, state in kept:
-        np.testing.assert_array_equal(state.u, states[k].u)
+    for k, state in kept:  # no later step overwrote a state on_snapshot was handed
+        np.testing.assert_array_equal(_bits(state), _bits(states[k]))
     assert [replace(r, step=0, time=0.0) for r in run_rows[1:]] == [
         replace(r, time=0.0) for r in rows]
 
