@@ -441,6 +441,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a grid too large for this host
+        print(f"invalid input: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

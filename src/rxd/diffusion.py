@@ -22,12 +22,11 @@ spectrum and the symbol live in the stencil's scratch, so each spectral
 solve forms the symbol from its factors.  The CG iteration, which a
 constant coefficient never reaches, allocates its vectors z, p and A p per
 solve.  These in-place forms keep the operation order of the plain array
-expressions, so they give the same bits.  A step may run in place on the
-input stack: each species is then solved into one scratch row, allocated
+expressions, so they give the same bits.  A step advances the stack of the
+state it is given: each species is solved into one scratch row, allocated
 per call, and copied into its own row after its solve, because CG reads u*
-until it has converged.  Into a new stack each solution goes straight into
-its row.  The driver runs the stage in place on the stack the reaction
-stage has just written.
+until it has converged.  A caller that still needs the input state copies
+it first, as :func:`rxd.splitting.run_simulation` does for a held state.
 
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
@@ -237,31 +236,27 @@ def step_diffusion(
     tol: float = DEFAULT_TOL,
     max_iter: Optional[int] = None,
     ops: Optional[tuple[_ImplicitDiffusionOperator, ...]] = None,
-    in_place: bool = False,
 ) -> tuple[State, tuple[LinearSolveReport, LinearSolveReport, LinearSolveReport]]:
-    """Advance all three species by implicit diffusion; time moves forward by dt.
+    """Advance all three species in ``state_star.u`` by implicit diffusion; time moves by dt.
 
-    The three solves are independent; each writes its row of a new stack,
-    or of ``state_star.u`` itself when ``in_place`` (each species is then
-    solved into a scratch row first; after an error the stack's contents
-    are unspecified).  ``ops`` are the operators of :func:`build_operators`
-    for ``coeffs`` and ``dt``, built here when None.  The result must be
-    strictly positive; if it is not, the linear tolerance is too loose for
-    the data and a :class:`PositivityError` is raised instead of silently
-    clipping.
+    The three solves are independent; each is solved into a scratch row and
+    then copied into its row of ``state_star.u`` (after an error the stack's
+    contents are unspecified).  ``ops`` are the operators of
+    :func:`build_operators` for ``coeffs`` and ``dt``, built here when None.
+    The result must be strictly positive; if it is not, the linear tolerance
+    is too loose for the data and a :class:`PositivityError` is raised
+    instead of silently clipping.
     """
     state_star.require_positive("step_diffusion input")
     if ops is None:
         ops = build_operators(state_star.grid, coeffs, dt)
-    u = state_star.u if in_place else np.empty_like(state_star.u)
-    scratch = np.empty_like(u[0]) if in_place else None
+    scratch = np.empty_like(state_star.u[0])
     reports = []
     for (_, f), d, op, row in zip(state_star.species(), (coeffs.d_a, coeffs.d_b, coeffs.d_c),
-                                  ops, u):
-        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter,
-                                                row if scratch is None else scratch, op)
-        row[...] = u_next.values  # no copy when the solve wrote into row
+                                  ops, state_star.u):
+        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter, scratch, op)
+        row[...] = u_next.values
         reports.append(report)
-    state = State.from_stack(state_star.grid, u, state_star.time + dt)
+    state = State.from_stack(state_star.grid, state_star.u, state_star.time + dt)
     state.require_positive("diffusion update (tighten the linear solver tolerance)")
     return state, tuple(reports)

@@ -196,26 +196,28 @@ def _solve_block(a, b, c, dt, params: ModelParams, tol: float, max_iter: int,
         lo, hi = _fold(0.0, _residual(0.0, a, b, c, cdt, params), s_lo, s_hi)
         lo, hi = _fold(r, g, lo, hi)
         before_last = last = np.inf
-        for _ in range(max_iter):
-            active &= ~((np.abs(g) <= tol) | (np.nextafter(lo, hi) >= hi))
-            if not active.any():
-                break
-            dx = _newton_step(g, r, a, b, c, cdt)
-            cand = r - dx
-            # A step below half an ulp moves one ulp toward the root, where the
-            # sign of G then closes the bracket.
-            cand = np.where(cand == r, np.nextafter(r, np.where(g < 0.0, hi, lo)), cand)
-            newton = (cand > lo) & (cand < hi) & (np.abs(dx) < 0.5 * before_last)
-            near = np.where(lo - s_lo <= s_hi - hi, s_lo, s_hi)
-            distance = np.sqrt(np.abs(lo - near)) * np.sqrt(np.abs(hi - near))
-            mid = near + np.sign(r - near) * distance
-            mid = np.clip(mid, np.nextafter(lo, hi), np.nextafter(hi, lo))
-            step = np.where(newton, cand, mid)
-            before_last, last = last, np.abs(step - r)
-            np.copyto(r, step, where=active)
-            iterations += active
-            g = np.where(active, _residual(r, a, b, c, cdt, params), g)
-            lo, hi = _fold(r, g, lo, hi)
+        # A step or G that overflows is +-inf: the bracket test rejects it or its sign folds.
+        with np.errstate(over="ignore"):
+            for _ in range(max_iter):
+                active &= ~((np.abs(g) <= tol) | (np.nextafter(lo, hi) >= hi))
+                if not active.any():
+                    break
+                dx = _newton_step(g, r, a, b, c, cdt)
+                cand = r - dx
+                # A step below half an ulp moves one ulp toward the root, where the
+                # sign of G then closes the bracket.
+                cand = np.where(cand == r, np.nextafter(r, np.where(g < 0.0, hi, lo)), cand)
+                newton = (cand > lo) & (cand < hi) & (np.abs(dx) < 0.5 * before_last)
+                near = np.where(lo - s_lo <= s_hi - hi, s_lo, s_hi)
+                distance = np.sqrt(np.abs(lo - near)) * np.sqrt(np.abs(hi - near))
+                mid = near + np.sign(r - near) * distance
+                mid = np.clip(mid, np.nextafter(lo, hi), np.nextafter(hi, lo))
+                step = np.where(newton, cand, mid)
+                before_last, last = last, np.abs(step - r)
+                np.copyto(r, step, where=active)
+                iterations += active
+                g = np.where(active, _residual(r, a, b, c, cdt, params), g)
+                lo, hi = _fold(r, g, lo, hi)
     if active.any():
         cell = int(np.flatnonzero(active)[0])
         raise ConvergenceError(
@@ -246,32 +248,34 @@ def step_reaction(
     dt: float,
     params: ModelParams,
     tol: float = DEFAULT_TOL,
-    in_place: bool = False,
-    work=None,
+    rows=None,
 ) -> tuple[State, ReactionSolveResult]:
-    """Advance the reaction subproblem: a* = a - R, b* = b - R, c* = c + R.
+    """Advance the reaction subproblem in ``state.u``: a* = a - R, b* = b - R, c* = c + R.
 
     The time stamp is unchanged; the splitting driver owns time.  The
-    returned state is strictly positive cellwise (guaranteed by the root
-    bracket).  The same R is subtracted and added, so a* + c* and b* + c*
-    keep a + c and b + c in each cell up to rounding, by 2 eps of the sum.
-
-    The new state is written into a new stack, or into ``state.u`` itself
-    when ``in_place`` (every R is found before any row is written; after an
-    error its contents are unspecified).  The solve's scratch rows are those
-    of ``work``, the run's diffusion workspace for this grid, or new ones.
+    returned state wraps ``state.u`` and is strictly positive cellwise
+    (guaranteed by the root bracket).  The same R is subtracted and added,
+    so a* + c* and b* + c* keep a + c and b + c in each cell up to rounding,
+    by 2 eps of the sum.  Every R is found, and an a*, b* or c* that would
+    overflow is refused, before any row is written; after another error the
+    stack's contents are unspecified.  ``rows`` are the solve's scratch rows
+    (see :func:`_solve_field`), new ones when None.
     """
     if not dt > 0.0:
         raise PositivityError(f"step_reaction: dt must be positive, got {dt}")
     state.require_positive("step_reaction")
-    if work is not None and work.res.shape != state.grid.shape:
-        raise ValueError(f"step_reaction: workspace was built for grid shape "
-                         f"{work.res.shape}, not {state.grid.shape}")
-    r, iterations, max_residual = _solve_field(*state.u, dt, params, tol, DEFAULT_MAX_ITER,
-                                               None if work is None else work.rows)
-    u = state.u if in_place else np.empty_like(state.u)
-    np.subtract(state.u[:2], r, out=u[:2])
-    np.add(state.u[2], r, out=u[2])
+    u = state.u
+    r, iterations, max_residual = _solve_field(*u, dt, params, tol, DEFAULT_MAX_ITER, rows)
+    if max(r.max(), -r.min()) >= 2.0**970:  # else a - R, b - R, c + R are finite
+        with np.errstate(over="ignore"):
+            over = np.isinf(u[0] - r) | np.isinf(u[1] - r) | np.isinf(u[2] + r)
+        if over.any():
+            cell = int(np.argmax(over))
+            a, b, c = (float(x.flat[cell]) for x in u)
+            raise ValueError(f"reaction update a - R, b - R, c + R overflows at cell {cell}: "
+                             f"a={a!r} b={b!r} c={c!r} dt={dt!r}")
+    np.subtract(u[:2], r, out=u[:2])
+    np.add(u[2], r, out=u[2])
     star = State.from_stack(state.grid, u, state.time)
     star.require_positive("step_reaction output")
     return star, ReactionSolveResult(Field(state.grid, r), iterations, max_residual)

@@ -168,31 +168,28 @@ def full_step(
     options: SolverOptions = SolverOptions(),
     collect: bool = True,
     ops: Optional[tuple] = None,
-    in_place: bool = False,
     energy_before: Optional[float] = None,
 ) -> tuple[State, Optional[DiagnosticsRow]]:
     """One split step: reaction with step dt, then diffusion with step dt.
 
     Returns the advanced state and (when ``collect`` or in checked mode) a
     diagnostics row with ``step`` left at 0 for the caller to fill in.
-    The reaction writes into a new stack, or into ``state.u`` when
-    ``in_place`` (the caller no longer needs ``state``; after an error its
-    contents are unspecified), and the diffusion then runs in place on
-    that stack, so the step holds at most one stack besides ``state``'s.
-    ``ops`` (built here when None) go to :func:`step_diffusion`, their
-    workspace to :func:`step_reaction`.  ``energy_before`` is the energy
-    of ``state`` if the caller has it; checked mode computes it otherwise.
+    Both stages advance ``state.u`` itself (after an error its contents
+    are unspecified), so the step holds no stack besides ``state``'s.
+    ``ops`` (built here when None) serve both stages.  ``energy_before``
+    is the energy of ``state`` if the caller has it; checked mode computes
+    it otherwise.
     """
     checked = options.checked
     if checked and energy_before is None:
         energy_before = discrete_energy(state, params)
     ops = build_operators(state.grid, coeffs, dt) if ops is None else ops
-    star, solve = step_reaction(state, dt, params, options.reaction_tol, in_place, ops[0].work)
+    star, solve = step_reaction(state, dt, params, options.reaction_tol, ops[0].work.rows)
     reaction_residual = solve.max_residual
     del solve  # its per-cell arrays leave the step's peak before the diffusion
     energy_star = discrete_energy(star, params) if checked else None
     next_state, reports = step_diffusion(
-        star, coeffs, dt, options.cg_tol, options.cg_max_iter, ops, in_place=True
+        star, coeffs, dt, options.cg_tol, options.cg_max_iter, ops
     )
     row = None
     if collect or checked:
@@ -233,12 +230,12 @@ def run_simulation(
 
     The diffusion operators and their workspace are built once for the
     run, before the first snapshot, so a coefficient they refuse is refused
-    before any output.  A step advances the stack of the state it started
-    from in place, unless a caller holds that state: the states handed to
-    ``on_snapshot`` are never overwritten, and a step from one of them
-    writes a new stack, which later steps then reuse.  ``initial`` is held
-    too, unless ``in_place`` (the caller no longer needs it; after an error
-    its contents are unspecified) and snapshots are off: with snapshots on,
+    before any output.  The step functions advance the state they are
+    given, so a step from a state that a caller still holds first copies
+    it: the states handed to ``on_snapshot`` are never overwritten, and
+    later steps reuse the copy.  ``initial`` is held too, unless
+    ``in_place`` (the caller no longer needs it; after an error its
+    contents are unspecified) and snapshots are off: with snapshots on,
     ``on_snapshot`` has seen it as step 0.
     """
     initial.require_positive("run_simulation initial state")
@@ -258,10 +255,11 @@ def run_simulation(
     state, held = initial, snapshots or not in_place
     for k in range(1, tc.steps + 1):
         want_row = diagnostics_every > 0 and (k % diagnostics_every == 0 or k == tc.steps)
+        if held:
+            state = State.from_stack(state.grid, state.u.copy(), state.time)
         state, row = full_step(
             state, tc.dt, params, coeffs, options, collect=want_row,
-            ops=ops, in_place=not held,
-            energy_before=None if row is None else row.energy,
+            ops=ops, energy_before=None if row is None else row.energy,
         )
         # k * dt rather than a running sum of dt, which drifts by roundoff.
         state.time = initial.time + k * tc.dt

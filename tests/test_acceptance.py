@@ -255,7 +255,7 @@ def test_criterion_9_property_suite():
 
     # equilibrium fixed point
     eq = State.uniform(Grid(2, 8, (-1.0, -1.0), (1.0, 1.0)), 1.0, 1.0, 1.0)
-    out, _ = full_step(eq, 0.1, P_UNIT, COEFFS)
+    out, _ = full_step(State.from_stack(eq.grid, eq.u.copy()), 0.1, P_UNIT, COEFFS)
     dev = max(
         float(np.max(np.abs(o.values - i.values)))
         for o, i in zip((out.a, out.b, out.c), (eq.a, eq.b, eq.c))

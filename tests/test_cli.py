@@ -325,6 +325,7 @@ def _one_uniform_step(dt, a, b, c):
                           "initial=" + json.dumps({"kind": "uniform", "a": a, "b": b, "c": c}))]
 
 
+_TOP_UNIFORM = 'initial={{"kind":"uniform","a":1e308,"b":1e308,"c":{c}}}'
 _PAPER_FIELDS = [f for _, f in make_initial_condition(Grid.box(2, 8, -1.0, 1.0)).species()]
 _HEADER = "rxd-field v1\ndim=1 n=2 lower=0 upper=1 t=0"
 
@@ -539,6 +540,17 @@ CONTRACT = [
     # a + c and the energy sum overflowed with four RuntimeWarning lines
     ("test_cli_contract[overflowing-mass-run]", _one_uniform_step(0.01, 1e308, 1e-300, 1e308),
      {}, 3, ["solver failure: energy is not finite at step 0: inf\n"]),
+    # the reaction polish's G * m overflowed with a RuntimeWarning
+    ("test_cli_contract[top-of-range-uniform-run]",
+     ["run", "--unchecked", *_sets("grid.n=3", _TOP_UNIFORM.format(c=1))], {}, 0, []),
+    # c + R overflowed with four RuntimeWarnings and the diffusion stage was blamed
+    ("test_cli_contract[overflowing-reaction-update-run]",
+     ["run", "--unchecked", *_sets("grid.n=3", _TOP_UNIFORM.format(c=1e308))], {}, 2,
+     ["invalid input: reaction update a - R, b - R, c + R overflows at cell 0: a=1e+308 "
+      "b=1e+308 c=1e+308 dt=0.01\n"]),
+    # a 65.5 TiB grid ended in numpy's _ArrayMemoryError traceback
+    ("test_cli_contract[grid-too-large-for-memory]", ["run", "--set", "grid.n=3000000"], {}, 2,
+     ["invalid input: out of memory: "]),
 ]
 
 

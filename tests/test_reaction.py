@@ -26,6 +26,12 @@ from oracles import reaction_solve_plain, rk4_reaction, trajectory_residual
 
 P_UNIT = ModelParams(1.0, 1.0, 1.0)
 
+
+def _copy(state):
+    """A state on a new stack: step_reaction advances the stack it is given."""
+    return State.from_stack(state.grid, state.u.copy(), state.time)
+
+
 # Roots of the exponentiated trajectory equation for the two closed-form
 # cases; exponentiating reduces them to 3R^2 + 5R - 1 = 0 and
 # 6R^2 + 15R + 1 = 0, and an independent bisection to 1e-14 agrees.
@@ -222,16 +228,19 @@ def test_solve_through_workspace_rows_matches_plain_expressions(shape, dt, param
 
 
 def test_foreign_workspace_is_refused(monkeypatch):
+    # Rows that would drop cells are refused before any row of the stack is
+    # written: from a smaller grid's workspace, or sized for a smaller BLOCK.
     state = State.uniform(Grid.box(2, 16), 2.0, 2.0, 1.0)
     before = state.u.copy()
-    with pytest.raises(ValueError, match=r"grid shape \(8, 8\), not \(16, 16\)"):
-        step_reaction(state, 0.1, P_UNIT, in_place=True, work=diffusion._Workspace((8, 8)))
+    with pytest.raises(ValueError, match=r"rows of shape \(5, 64\) cannot hold blocks "
+                                         r"of shape \(5, 256\)"):
+        step_reaction(state, 0.1, P_UNIT, rows=diffusion._Workspace((8, 8)).rows)
     monkeypatch.setattr(reaction, "BLOCK", 100)
     short = diffusion._Workspace((16, 16))
     monkeypatch.undo()
     with pytest.raises(ValueError, match=r"rows of shape \(5, 100\) cannot hold blocks "
                                          r"of shape \(5, 256\)"):
-        step_reaction(state, 0.1, P_UNIT, in_place=True, work=short)
+        step_reaction(state, 0.1, P_UNIT, rows=short.rows)
     np.testing.assert_array_equal(state.u, before)
 
 
@@ -265,7 +274,7 @@ def _benchmark_scene(n):
 @pytest.mark.parametrize("dt", [1 / 1600, 0.01, 1.0, 100.0])
 def test_benchmark_scene_matches_oracle(dt):
     s = _benchmark_scene(32)
-    _, result = step_reaction(s, dt, P_UNIT)
+    _, result = step_reaction(_copy(s), dt, P_UNIT)
     reference = bisect_reaction(*s.u, dt)
     np.testing.assert_allclose(result.r.values, reference, rtol=0.0, atol=1e-11)
 
@@ -283,7 +292,7 @@ def test_closed_form_root_needs_no_newton(dt, rates):
     a_inf, b_inf, c_inf, k_plus, k_minus = rates
     p = ModelParams(a_inf, b_inf, c_inf, k_plus=k_plus, k_minus=k_minus)
     s = _benchmark_scene(32)
-    _, result = step_reaction(s, dt, p)
+    _, result = step_reaction(_copy(s), dt, p)
     assert result.iterations.max() == 0
     reference = bisect_reaction(*s.u, k_minus * dt, a_inf=a_inf, b_inf=b_inf, c_inf=c_inf)
     np.testing.assert_allclose(result.r.values, reference, rtol=0.0, atol=1e-11)
@@ -329,7 +338,7 @@ def test_bracket_endpoints_bound_the_residual():
 def test_step_reaction_equilibrium_is_identity():
     g = Grid.box(2, 6)
     s = State.uniform(g, 1.0, 1.0, 1.0)
-    star, result = step_reaction(s, 0.1, P_UNIT)
+    star, result = step_reaction(_copy(s), 0.1, P_UNIT)
     np.testing.assert_array_equal(star.a.values, s.a.values)
     np.testing.assert_array_equal(star.c.values, s.c.values)
     assert result.max_residual == 0.0
@@ -355,7 +364,7 @@ def test_step_reaction_matches_scalar_solver():
         Field(g, rng.uniform(0.1, 3.0, g.shape)),
         Field(g, rng.uniform(0.1, 3.0, g.shape)),
     )
-    star, result = step_reaction(s, 0.07, P_UNIT)
+    star, result = step_reaction(_copy(s), 0.07, P_UNIT)
     for idx in np.ndindex(g.shape):
         r_cell = solve_reaction_cell(
             float(s.a.values[idx]), float(s.b.values[idx]), float(s.c.values[idx]),
@@ -372,7 +381,7 @@ def test_step_reaction_pointwise_conservation():
         Field(g, rng.uniform(1e-2, 5.0, g.shape)),
         Field(g, rng.uniform(1e-2, 5.0, g.shape)),
     )
-    star, _ = step_reaction(s, 0.3, P_UNIT)
+    star, _ = step_reaction(_copy(s), 0.3, P_UNIT)
     ac = s.a.values + s.c.values
     bc = s.b.values + s.c.values
     assert np.all(np.abs((star.a.values + star.c.values) - ac) <= 2 * np.spacing(ac))
@@ -390,7 +399,7 @@ def test_step_reaction_conserves_sums_to_roundoff(dt):
     g = Grid.box(2, 64)
     cells = 10.0 ** np.random.default_rng(23).uniform(-12.0, 1.0, (3,) + g.shape)
     for s in (make_initial_condition(Grid.box(2, 256, -1.0, 1.0)), State.from_stack(g, cells, 0.0)):
-        star, _ = step_reaction(s, dt, P_UNIT)
+        star, _ = step_reaction(_copy(s), dt, P_UNIT)
         for i in (0, 1):
             total = s.u[i] + s.u[2]
             assert np.all(np.abs((star.u[i] + star.u[2]) - total) <= 2.0 * eps * total)
@@ -403,7 +412,8 @@ def test_huge_rate_constants_warn_nothing(rate):
     # Warnings are errors here.
     eps = np.finfo(float).eps
     s = _benchmark_scene(8)
-    star, _ = step_reaction(s, 0.01, ModelParams(rate, 1.0, 1.0, k_plus=1.0, k_minus=rate))
+    params = ModelParams(rate, 1.0, 1.0, k_plus=1.0, k_minus=rate)
+    star, _ = step_reaction(_copy(s), 0.01, params)
     assert np.all(star.u > 0.0)
     for i in (0, 1):
         total = s.u[i] + s.u[2]
@@ -418,7 +428,7 @@ def test_subnormal_rate_times_dt_resolves_the_root(k, dt):
     # spacing, which also keeps |G| above tol.  Warnings are errors here.
     s = _benchmark_scene(16)
     a, b, c = s.u
-    _, result = step_reaction(s, dt, ModelParams(1.0, 1.0, 1.0, k_plus=k, k_minus=k))
+    _, result = step_reaction(_copy(s), dt, ModelParams(1.0, 1.0, 1.0, k_plus=k, k_minus=k))
     r, cdt = result.r.values, k * c * dt
     assert np.all(cdt < np.finfo(float).tiny) and np.all(cdt > 0.0)
     assert np.all(r > -np.minimum(cdt, c)) and np.all(r < np.minimum(a, b))
@@ -488,9 +498,8 @@ def test_step_reaction_dissipates_energy():
         assert after <= before + 1e-12 * (1.0 + abs(before))
     # uniform states too
     s = State.uniform(g, 3.0, 0.2, 0.9)
-    assert discrete_energy(step_reaction(s, 0.25, P_UNIT)[0], P_UNIT) <= discrete_energy(
-        s, P_UNIT
-    )
+    before = discrete_energy(s, P_UNIT)
+    assert discrete_energy(step_reaction(s, 0.25, P_UNIT)[0], P_UNIT) <= before
 
 
 def test_reaction_steps_converge_to_ode_limit():

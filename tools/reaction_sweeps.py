@@ -21,7 +21,11 @@ sweeps are:
   [1e-300, 1e6] and dt in [1e-320, 1e6], for three detailed-balance rate
   sets (a_inf, b_inf, c_inf, k+, k-);
 - ``huge``: 200,000 cells with a, b, c log-uniform in [1e-300, 1e300] and
-  dt in [1e-320, 1e-3], unit parameters.
+  dt in [1e-320, 1e-3], unit parameters;
+- ``top``: 50,000 cells with a, b, c log-uniform in [1e300, 5e307] and dt
+  in [1e-320, 1], unit parameters.  a + c and b + c stay below the largest
+  double, so every step is representable, while the polish's G * m can
+  overflow.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ def sweeps():
         yield f"wide rates={','.join(f'{v:g}' for v in rates)}", a, b, c, dt, rates
     a, b, c = _log_uniform(rng, 1e-300, 1e300, (3, 200_000))
     yield "huge", a, b, c, _log_uniform(rng, 1e-320, 1e-3, 200_000), RATES[0]
+    a, b, c = _log_uniform(rng, 1e300, 5e307, (3, 50_000))
+    yield "top", a, b, c, _log_uniform(rng, 1e-320, 1.0, 50_000), RATES[0]
 
 
 def main(argv: list[str]) -> int:
