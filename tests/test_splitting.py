@@ -314,6 +314,41 @@ def _bits(state):
     return state.u.view(np.uint64)
 
 
+@pytest.mark.parametrize("case", ["constant-2d", "cosine-2d", "tiny-1d", "dt100-3d"])
+def test_in_place_stages_match_out_of_place_bitwise(case):
+    # Each stage updates the stack of the state it is given: the reaction
+    # finds every R before it writes a row, the diffusion solves each species
+    # into a scratch row.  Their bits are those of the out-of-place forms,
+    # a - R, b - R, c + R and per-species solves into new arrays, and
+    # full_step is their composition in the one stack it is given.
+    initial, tc, coeffs = _stepper_case(case)
+    a, b, c = initial.u
+    r, _, _ = reaction._solve_field(a, b, c, tc.dt, P_UNIT, reaction.DEFAULT_TOL,
+                                    reaction.DEFAULT_MAX_ITER)
+    star_expected = State.from_stack(initial.grid, np.stack([a - r, b - r, c + r]),
+                                     initial.time)
+    expected = np.stack([diffusion.step_diffusion_species(f, d, tc.dt)[0].values
+                         for (_, f), d in zip(star_expected.species(),
+                                              (coeffs.d_a, coeffs.d_b, coeffs.d_c))])
+
+    work = _copy(initial)
+    star, solve = reaction.step_reaction(work, tc.dt, P_UNIT)
+    assert star.u is work.u and star.time == initial.time
+    np.testing.assert_array_equal(_bits(star), _bits(star_expected))
+    np.testing.assert_array_equal(solve.r.values.view(np.uint64), r.view(np.uint64))
+    stepped, reports = diffusion.step_diffusion(star, coeffs, tc.dt)
+    assert stepped.u is work.u and stepped.time == initial.time + tc.dt
+    np.testing.assert_array_equal(_bits(stepped), expected.view(np.uint64))
+    assert case != "cosine-2d" or reports[1].iterations > 0
+
+    work = _copy(initial)
+    stepped, row = full_step(work, tc.dt, P_UNIT, coeffs)
+    assert stepped.u is work.u
+    np.testing.assert_array_equal(_bits(stepped), expected.view(np.uint64))
+    assert (row.cg_iters_a, row.cg_iters_b, row.cg_iters_c) == tuple(
+        rep.iterations for rep in reports)
+
+
 def test_checked_run_computes_energy_twice_per_step(monkeypatch):
     # The energy before a step is the previous row's, computed on the same
     # array; only the initial row and a standalone step compute it anew.
