@@ -336,7 +336,7 @@ def cmd_run(args) -> int:
         initial, tc, scene.params, scene.coeffs, scene.options,
         diagnostics_every=output["diagnostics_every"],
         snapshot_every=output["snapshot_every"],
-        on_snapshot=on_snapshot, in_place=True,
+        on_snapshot=on_snapshot,
     )
     write_diagnostics_csv(rows, os.path.join(_out_dir(output), "diagnostics.csv"))
     summary = f"run complete: {tc.steps} steps to t={format_float(final.time)}"

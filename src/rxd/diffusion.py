@@ -22,11 +22,11 @@ spectrum and the symbol live in the stencil's scratch, so each spectral
 solve forms the symbol from its factors.  The CG iteration, which a
 constant coefficient never reaches, allocates its vectors z, p and A p per
 solve.  These in-place forms keep the operation order of the plain array
-expressions, so they give the same bits.  A step advances the stack of the
-state it is given: each species is solved into one scratch row, allocated
-per call, and copied into its own row after its solve, because CG reads u*
-until it has converged.  A caller that still needs the input state copies
-it first, as :func:`rxd.splitting.run_simulation` does for a held state.
+expressions, so they give the same bits.  Every function advances the
+state it is given, and only a state handed to ``on_snapshot`` is copied
+before the next step (:func:`rxd.splitting.run_simulation`).  Here each
+species is solved into one scratch row, allocated per call, and copied into
+its own row after its solve, because CG reads u* until it has converged.
 
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
@@ -237,7 +237,7 @@ def step_diffusion(
     max_iter: Optional[int] = None,
     ops: Optional[tuple[_ImplicitDiffusionOperator, ...]] = None,
 ) -> tuple[State, tuple[LinearSolveReport, LinearSolveReport, LinearSolveReport]]:
-    """Advance all three species in ``state_star.u`` by implicit diffusion; time moves by dt.
+    """Advance ``state_star`` itself by implicit diffusion: its stack in place, its time by dt.
 
     The three solves are independent; each is solved into a scratch row and
     then copied into its row of ``state_star.u`` (after an error the stack's
@@ -257,6 +257,6 @@ def step_diffusion(
         u_next, report = step_diffusion_species(f, d, dt, tol, max_iter, scratch, op)
         row[...] = u_next.values
         reports.append(report)
-    state = State.from_stack(state_star.grid, state_star.u, state_star.time + dt)
-    state.require_positive("diffusion update (tighten the linear solver tolerance)")
-    return state, tuple(reports)
+    state_star.time += dt
+    state_star.require_positive("diffusion update (tighten the linear solver tolerance)")
+    return state_star, tuple(reports)

@@ -253,7 +253,7 @@ def step_reaction(
     """Advance the reaction subproblem in ``state.u``: a* = a - R, b* = b - R, c* = c + R.
 
     The time stamp is unchanged; the splitting driver owns time.  The
-    returned state wraps ``state.u`` and is strictly positive cellwise
+    returned state is ``state`` itself, strictly positive cellwise
     (guaranteed by the root bracket).  The same R is subtracted and added,
     so a* + c* and b* + c* keep a + c and b + c in each cell up to rounding,
     by 2 eps of the sum.  Every R is found, and an a*, b* or c* that would
@@ -276,6 +276,5 @@ def step_reaction(
                              f"a={a!r} b={b!r} c={c!r} dt={dt!r}")
     np.subtract(u[:2], r, out=u[:2])
     np.add(u[2], r, out=u[2])
-    star = State.from_stack(state.grid, u, state.time)
-    star.require_positive("step_reaction output")
-    return star, ReactionSolveResult(Field(state.grid, r), iterations, max_residual)
+    state.require_positive("step_reaction output")
+    return state, ReactionSolveResult(Field(state.grid, r), iterations, max_residual)

@@ -65,6 +65,9 @@ class TimeConfig:
                 f"t_final/dt = {self.t_final!r}/{self.dt!r} = {self.t_final / self.dt!r} "
                 "is not a positive integer; partial final steps are not supported"
             )
+        if (ratio := self.t_final / self.dt) >= 5e8:  # whole_ratio's slack is half a step there
+            raise ValueError(f"t_final/dt = {self.t_final!r}/{self.dt!r} = {ratio!r}: the step "
+                             "count is too large to check as a whole number (at most 5e8)")
 
     @property
     def steps(self) -> int:
@@ -172,7 +175,7 @@ def full_step(
 ) -> tuple[State, Optional[DiagnosticsRow]]:
     """One split step: reaction with step dt, then diffusion with step dt.
 
-    Returns the advanced state and (when ``collect`` or in checked mode) a
+    Returns ``state``, advanced, and (when ``collect`` or in checked mode) a
     diagnostics row with ``step`` left at 0 for the caller to fill in.
     Both stages advance ``state.u`` itself (after an error its contents
     are unspecified), so the step holds no stack besides ``state``'s.
@@ -217,7 +220,6 @@ def run_simulation(
     diagnostics_every: int = 1,
     snapshot_every: int = 0,
     on_snapshot: Optional[Callable[[int, State], None]] = None,
-    in_place: bool = False,
 ) -> tuple[State, list[DiagnosticsRow]]:
     """Run ``tc.steps`` full steps from ``initial``.
 
@@ -230,13 +232,10 @@ def run_simulation(
 
     The diffusion operators and their workspace are built once for the
     run, before the first snapshot, so a coefficient they refuse is refused
-    before any output.  The step functions advance the state they are
-    given, so a step from a state that a caller still holds first copies
-    it: the states handed to ``on_snapshot`` are never overwritten, and
-    later steps reuse the copy.  ``initial`` is held too, unless
-    ``in_place`` (the caller no longer needs it; after an error its
-    contents are unspecified) and snapshots are off: with snapshots on,
-    ``on_snapshot`` has seen it as step 0.
+    before any output.  Every function advances the state it is given, and
+    only a state handed to ``on_snapshot`` (``initial`` as step 0) is copied
+    before the next step.  Without snapshots the run returns ``initial``
+    itself, stamped ``initial.time + tc.steps * tc.dt``.
     """
     initial.require_positive("run_simulation initial state")
     rows: list[DiagnosticsRow] = []
@@ -252,7 +251,7 @@ def run_simulation(
     if snapshots:
         on_snapshot(0, initial)
 
-    state, held = initial, snapshots or not in_place
+    state, held, t0 = initial, snapshots, initial.time
     for k in range(1, tc.steps + 1):
         want_row = diagnostics_every > 0 and (k % diagnostics_every == 0 or k == tc.steps)
         if held:
@@ -262,7 +261,7 @@ def run_simulation(
             ops=ops, energy_before=None if row is None else row.energy,
         )
         # k * dt rather than a running sum of dt, which drifts by roundoff.
-        state.time = initial.time + k * tc.dt
+        state.time = t0 + k * tc.dt
         if row is not None:
             row = replace(row, step=k, time=state.time)
             if options.checked:

@@ -212,7 +212,7 @@ def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: lis
     turns one species' column of differences into its orders.
     """
     finals = [run_simulation(scene.initial(g), tc, scene.params, scene.coeffs,
-                             options=scene.options, diagnostics_every=0, in_place=True)[0]
+                             options=scene.options, diagnostics_every=0)[0]
               for g, tc in runs]
     errors = [
         tuple(

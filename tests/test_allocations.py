@@ -3,11 +3,11 @@
 Both stages are memory-bound passes over the grid, so every field-sized
 temporary costs a pass over fresh memory.  The traced peak of each stage
 (at N = 256, after a warm-up call) must stay within a fixed number of field
-sizes.  Each stage advances its input's own stack, so its peak is only its
-own temporaries.  A run keeps one workspace for both stages and advances
-one stack in place, so its peak over several steps is bounded as tightly as
-one step's; a run given its initial state to advance holds no stack of its
-own, and a step from a held snapshot state copies it first.
+sizes.  Every function advances the state it is given, and only a state
+handed to ``on_snapshot`` is copied before the next step.  So a stage's peak
+is only its own temporaries, and a run, which keeps one workspace for both
+stages, holds no stack of its own unless it takes snapshots; each test hands
+a stepping call a copy of the module's state, made before tracing starts.
 The snapshot writer formats a fixed-size chunk at a time, so its peak does
 not grow with the field.
 """
@@ -46,6 +46,11 @@ def state():
     return make_initial_condition(Grid.box(2, N, -1.0, 1.0))
 
 
+def _copy(state):
+    """A state on a new stack: the stages and runs advance the state they are given."""
+    return State.from_stack(state.grid, state.u.copy(), state.time)
+
+
 def test_operator_build_peak(state):
     # the workspace: one buffer for the stencil scratch, the spectrum and the
     # symbol (2) and the residual (1); measured 3.04, where three stored
@@ -59,7 +64,7 @@ def test_reaction_stage_in_place_peak(state):
     # R (1), the uint8 per-cell iteration counts (1/8) and the five block
     # rows of this call (0.63); measured 1.80 (2.26 with a block's ~11
     # temporaries), where a copy of the stack would add 3
-    work = State.from_stack(state.grid, state.u.copy())
+    work = _copy(state)
     peak = _peak_in_fields(lambda: step_reaction(work, DT, ModelParams(1.0, 1.0, 1.0)))
     assert peak <= 2.0, peak
 
@@ -67,7 +72,7 @@ def test_reaction_stage_in_place_peak(state):
 def test_reaction_stage_in_the_run_workspace_peak(state):
     # R (1) and the uint8 iteration counts (1/8): the block rows are the
     # workspace's; measured 1.18
-    work = State.from_stack(state.grid, state.u.copy())
+    work = _copy(state)
     ops = build_operators(state.grid, DiffusionCoeffs(0.05, 1.0, 0.1), DT)
     peak = _peak_in_fields(lambda: step_reaction(work, DT, ModelParams(1.0, 1.0, 1.0),
                                                  rows=ops[0].work.rows))
@@ -78,7 +83,7 @@ def test_diffusion_stage_in_place_peak(state):
     # the scratch row (1) and smaller temporaries; measured 1.38
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
     ops = build_operators(state.grid, coeffs, DT)
-    work = State.from_stack(state.grid, state.u.copy())
+    work = _copy(state)
     peak = _peak_in_fields(lambda: step_diffusion(work, coeffs, DT, ops=ops))
     assert peak <= 1.5, peak
 
@@ -90,38 +95,26 @@ def test_energy_peak(state):
 
 
 def test_run_peak(state):
-    # 4 unchecked steps: the workspace (3), which holds the reaction's block
-    # rows, the one stack the run advances in place (3), and R, the
-    # iteration counts and the reaction's smaller temporaries (~1.4).
-    # Measured 7.41 (8.29 with a block's temporaries allocated per step); a
-    # second stack per step would exceed the budget.
+    # 4 unchecked steps advancing the initial stack itself: the workspace
+    # (3), which holds the reaction's block rows, and R, the iteration
+    # counts and the reaction's smaller temporaries (~1.4).  Measured 4.41
+    # (7.41 when a run copied its initial state, 8.29 with a block's
+    # temporaries allocated per step); a second stack would exceed the budget.
     tc = TimeConfig(DT, 4 * DT)
     options = SolverOptions(checked=False)
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
-    peak = _peak_in_fields(
-        lambda: run_simulation(state, tc, ModelParams(1.0, 1.0, 1.0), coeffs, options))
-    assert peak <= 7.75, peak
-
-
-def test_run_in_place_peak(state):
-    # the run of test_run_peak advancing the initial stack itself: the
-    # workspace (3) and R, the iteration counts and the reaction's smaller
-    # temporaries (~1.4); measured 4.41, where a second stack adds 3
-    tc = TimeConfig(DT, 4 * DT)
-    options = SolverOptions(checked=False)
-    coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
-    starts = [State.from_stack(state.grid, state.u.copy()) for _ in range(2)]  # call and warm-up
+    starts = [_copy(state) for _ in range(2)]  # call and warm-up
     peak = _peak_in_fields(lambda: run_simulation(
-        starts.pop(), tc, ModelParams(1.0, 1.0, 1.0), coeffs, options, in_place=True))
+        starts.pop(), tc, ModelParams(1.0, 1.0, 1.0), coeffs, options))
     assert peak <= 4.75, peak
 
 
 def test_run_snapshot_peak(state):
-    # the run of test_run_peak handing every state to on_snapshot: each step
-    # copies the held state (3) into the stack it advances, and lets go of
-    # the previous step's stack before the reaction allocates R; measured
-    # 9.03, where a step that kept both the held stack and the previous
-    # one gave 10.41
+    # the run of test_run_peak handing every state, the module's own
+    # included, to on_snapshot: each step copies the held state (3) into
+    # the stack it advances, and lets go of the previous step's stack
+    # before the reaction allocates R; measured 9.03, where a step that
+    # kept both the held stack and the previous one gave 10.41
     tc = TimeConfig(DT, 4 * DT)
     options = SolverOptions(checked=False)
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)

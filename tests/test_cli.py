@@ -513,6 +513,13 @@ CONTRACT = [
     ("test_cli_contract[overflowing-step-count]",
      [*_RUN, *_sets("time.dt=1e-10", "time.t_final=1e300")], {}, 2,
      ["config error: time:", "= inf is not a positive integer"]),
+    # from t_final/dt = 5e8 on, the whole-number check passed every ratio: a
+    # half step was dropped, and 1e301 steps ran without end
+    ("test_cli_contract[step-count-too-large]", [*_RUN, "--set", "time.t_final=1e300"], {}, 2,
+     ["config error: time: t_final/dt = 1e+300/0.1 = 1e+301: the step count is too large"]),
+    ("test_cli_contract[half-step-past-5e8]",
+     [*_RUN, *_sets("time.dt=1", "time.t_final=500000000.5")], {}, 2,
+     ["config error: time:", "= 500000000.5: the step count is too large to check"]),
     ("test_cli_contract[zero-mesh-size]",
      ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.25,0]"], {}, 2,
      ["config error: study_space: h = 0.0 does not tile the domain extent"]),

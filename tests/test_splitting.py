@@ -45,6 +45,9 @@ def test_time_config():
         TimeConfig(0.01, 0.0)
     with pytest.raises(ValueError):
         TimeConfig(0.4, 0.2)  # zero steps
+    assert TimeConfig(1.0, 4e8).steps == 400_000_000
+    with pytest.raises(ValueError, match="too large to check"):
+        TimeConfig(1.0, 500000000.5)  # 1e-9 of the ratio is half a step
     for dt, t_final in ((0.01, np.inf), (np.inf, 0.2), (np.nan, 0.2), (0.01, np.nan)):
         with pytest.raises(ValueError):
             TimeConfig(dt, t_final)
@@ -181,7 +184,7 @@ def test_checked_run_refuses_a_non_finite_conserved_mass():
     g = Grid(2, 8, (-1e154, -1e154), (1e154, 1e154))
     s = State.uniform(g, np.e, np.e, np.e)
     with pytest.raises(AssertionError, match=r"^mass_ac is not finite at step 0: inf$"):
-        run_simulation(s, TimeConfig(0.1, 0.2), P_UNIT, COEFFS)
+        run_simulation(_copy(s), TimeConfig(0.1, 0.2), P_UNIT, COEFFS)
     _, rows = run_simulation(s, TimeConfig(0.1, 0.2), P_UNIT, COEFFS,
                              SolverOptions(checked=False))
     assert rows[0].energy == 0.0 and rows[-1].mass_ac == np.inf
@@ -207,7 +210,7 @@ def test_run_simulation_cadence_and_sinks():
     s = make_initial_condition(g)
     seen_snaps = []
     _, rows = run_simulation(
-        s,
+        _copy(s),  # the second run starts from s too
         TimeConfig(0.01, 0.2),
         P_UNIT,
         COEFFS,
@@ -233,10 +236,12 @@ def test_run_simulation_time_is_step_count_times_dt():
     )
     assert final.time == 0.2
     assert [row.time for row in rows] == [k * 0.01 for k in range(21)]
-    # a nonzero start time is offset, not accumulated
+    # a nonzero start time is offset, not accumulated; the run reads it before
+    # step 1, which advances the time of the state it is given
     start = State.uniform(g, 1.0, 1.0, 1.0, time=1.5)
-    final, _ = run_simulation(start, TimeConfig(0.01, 0.2), P_UNIT, COEFFS)
-    assert final.time == 1.5 + 20 * 0.01
+    final, rows = run_simulation(start, TimeConfig(0.01, 0.2), P_UNIT, COEFFS)
+    assert final is start and final.time == 1.5 + 20 * 0.01
+    assert [row.time for row in rows] == [1.5 + k * 0.01 for k in range(21)]
 
 
 def test_run_simulation_is_deterministic():
@@ -274,14 +279,12 @@ def _stepper_case(name):
 
 @pytest.mark.parametrize("case", ["constant-2d", "cosine-2d", "tiny-1d", "dt100-3d"])
 @pytest.mark.parametrize("snapshot_every", [0, 2])
-@pytest.mark.parametrize("in_place", [False, True])
-def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every, in_place):
-    # The run reuses its operators, workspace and the stacks of states no
-    # caller holds; a loop of standalone steps, each on a copy of the state
-    # before it, builds everything anew, with a workspace full of NaN that
-    # the stages must write before they read.  With in_place the run
-    # advances the initial stack itself, unless on_snapshot has seen it as
-    # step 0.
+def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every):
+    # The run reuses its operators, workspace and the stacks of states
+    # on_snapshot was not handed; a loop of standalone steps, each on a copy
+    # of the state before it, builds everything anew, with a workspace full
+    # of NaN that the stages must write before they read.  The run advances
+    # the initial state itself, unless on_snapshot has seen it as step 0.
     initial, tc, coeffs = _stepper_case(case)
     u0 = initial.u.copy()
     states, rows = [_copy(initial)], []
@@ -295,12 +298,10 @@ def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every, i
     assert case != "cosine-2d" or all(row.cg_iters_b > 0 for row in rows)
     kept = []
     final, run_rows = run_simulation(initial, tc, P_UNIT, coeffs, snapshot_every=snapshot_every,
-                                     on_snapshot=lambda k, state: kept.append((k, state)),
-                                     in_place=in_place)
+                                     on_snapshot=lambda k, state: kept.append((k, state)))
     np.testing.assert_array_equal(_bits(final), _bits(states[-1]))
-    consumed = in_place and not snapshot_every
-    assert np.shares_memory(final.u, initial.u) == consumed
-    if not consumed:
+    assert (final is initial) == (not snapshot_every)
+    if snapshot_every:
         np.testing.assert_array_equal(_bits(initial), u0.view(np.uint64))
     assert [k for k, _ in kept] == (list(range(0, tc.steps + 1, snapshot_every))
                                     if snapshot_every else [])
@@ -333,17 +334,17 @@ def test_in_place_stages_match_out_of_place_bitwise(case):
 
     work = _copy(initial)
     star, solve = reaction.step_reaction(work, tc.dt, P_UNIT)
-    assert star.u is work.u and star.time == initial.time
+    assert star is work and star.time == initial.time
     np.testing.assert_array_equal(_bits(star), _bits(star_expected))
     np.testing.assert_array_equal(solve.r.values.view(np.uint64), r.view(np.uint64))
     stepped, reports = diffusion.step_diffusion(star, coeffs, tc.dt)
-    assert stepped.u is work.u and stepped.time == initial.time + tc.dt
+    assert stepped is work and stepped.time == initial.time + tc.dt
     np.testing.assert_array_equal(_bits(stepped), expected.view(np.uint64))
     assert case != "cosine-2d" or reports[1].iterations > 0
 
     work = _copy(initial)
     stepped, row = full_step(work, tc.dt, P_UNIT, coeffs)
-    assert stepped.u is work.u
+    assert stepped is work
     np.testing.assert_array_equal(_bits(stepped), expected.view(np.uint64))
     assert (row.cg_iters_a, row.cg_iters_b, row.cg_iters_c) == tuple(
         rep.iterations for rep in reports)
@@ -357,7 +358,7 @@ def test_checked_run_computes_energy_twice_per_step(monkeypatch):
     monkeypatch.setattr(splitting, "discrete_energy",
                         lambda *args: calls.append(1) or energy(*args))
     s = make_initial_condition(Grid.box(2, 8, -1.0, 1.0))
-    run_simulation(s, TimeConfig(0.01, 0.04), P_UNIT, COEFFS, diagnostics_every=0)
+    run_simulation(_copy(s), TimeConfig(0.01, 0.04), P_UNIT, COEFFS, diagnostics_every=0)
     assert len(calls) == 1 + 2 * 4
     calls.clear()
     full_step(s, 0.01, P_UNIT, COEFFS)

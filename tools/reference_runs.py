@@ -1,4 +1,4 @@
-"""Run the seven byte-identity reference runs and keep everything they produce.
+"""Run the eight byte-identity reference runs and keep everything they produce.
 
     python tools/reference_runs.py OUT_DIR
 
@@ -11,6 +11,7 @@ compared with one ``diff -r``.  OUT_DIR must not exist yet.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +31,10 @@ def _cosine(amplitude: float) -> str:
 RUNS = {
     "run-default": ["run"],
     "run-n32-snapshots": ["run", *_sets("grid.n=32", "output.snapshot_every=5")],
+    # restarts from the run above's last snapshots (t = 0.2): reads them, starts at t0 != 0
+    "run-n32-restart": ["run", *_sets("grid.n=32", "initial=" + json.dumps(
+        {"kind": "snapshot",
+         **{name: f"../run-n32-snapshots/out/field_{name}_step20.txt" for name in "abc"}}))],
     "run-cosine-d_b": ["run", *_sets("grid.n=64", f"diffusion.d_b={_cosine(0.9)}")],
     "study-space": ["study-space", *_sets("study_space.hs=[0.1,0.05,0.04]")],
     "study-time": ["study-time", *_sets("study_time.n=16")],
