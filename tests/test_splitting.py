@@ -279,13 +279,16 @@ def _stepper_case(name):
 
 @pytest.mark.parametrize("case", ["constant-2d", "cosine-2d", "tiny-1d", "dt100-3d"])
 @pytest.mark.parametrize("snapshot_every", [0, 2])
-def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every):
+@pytest.mark.parametrize("t0", [0.0, 1.5])
+def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every, t0):
     # The run reuses its operators, workspace and the stacks of states
     # on_snapshot was not handed; a loop of standalone steps, each on a copy
     # of the state before it, builds everything anew, with a workspace full
     # of NaN that the stages must write before they read.  The run advances
-    # the initial state itself, unless on_snapshot has seen it as step 0.
+    # the initial state itself, unless on_snapshot has seen it as step 0,
+    # and stamps step k with t0 + k * dt, t0 read before step 1.
     initial, tc, coeffs = _stepper_case(case)
+    initial.time = t0
     u0 = initial.u.copy()
     states, rows = [_copy(initial)], []
     for _ in range(tc.steps):
@@ -307,6 +310,9 @@ def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every):
                                     if snapshot_every else [])
     for k, state in kept:  # no later step overwrote a state on_snapshot was handed
         np.testing.assert_array_equal(_bits(state), _bits(states[k]))
+        assert state.time == t0 + k * tc.dt
+    assert final.time == t0 + tc.steps * tc.dt
+    assert [r.time for r in run_rows] == [t0 + k * tc.dt for k in range(tc.steps + 1)]
     assert [replace(r, step=0, time=0.0) for r in run_rows[1:]] == [
         replace(r, time=0.0) for r in rows]
 
