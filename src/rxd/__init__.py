@@ -7,7 +7,7 @@ positive, and the composition is first-order accurate in time and
 second-order in space.
 """
 
-from .diffusion import step_diffusion, step_diffusion_species
+from .diffusion import build_operators, step_diffusion, step_diffusion_species
 from .errors import ConvergenceError, PositivityError
 from .grid import (
     DiffusionCoeffs,
@@ -69,6 +69,7 @@ __all__ = [
     "norm_max",
     "benchmark_initial_functions",
     "benchmark_scene",
+    "build_operators",
     "read_field",
     "run_simulation",
     "solve_reaction_cell",

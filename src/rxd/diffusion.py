@@ -85,13 +85,14 @@ class _Workspace:
 
 
 class _ImplicitDiffusionOperator:
-    """Matrix-free application of (I - dt div(D grad)) on one grid."""
+    """Matrix-free application of (I - dt div(D grad)) on one grid, over a run's workspace."""
 
-    def __init__(self, grid, d: Coefficient, dt: float, work: Optional[_Workspace] = None):
+    def __init__(self, grid, d: Coefficient, dt: float, work: _Workspace):
+        if not 0.0 < dt < math.inf:
+            raise PositivityError(f"diffusion operator: dt must be positive and finite, got {dt}")
         self.grid = grid
-        self.d = d
         self.dt = dt
-        self.work = _Workspace(grid.shape) if work is None else work
+        self.work = work
         # Face coefficients per physical axis; floats stay floats.
         self.faces = [face_coefficient(grid, d, axis) for axis in range(grid.dim)]
         # Per-axis factors of M's rfftn symbol 1 + sum_axes (dt 4 mean(D_face)/h^2) sin^2(pi k/N).
@@ -187,7 +188,11 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
 
 def build_operators(grid, coeffs: DiffusionCoeffs,
                     dt: float) -> tuple[_ImplicitDiffusionOperator, ...]:
-    """The implicit operators of species a, b and c for one grid and dt, over one workspace."""
+    """The implicit operators of species a, b and c for one grid and dt, over one workspace.
+
+    They are the whole description of a run's diffusion stage: D, dt, the
+    grid and the scratch that both stages share.
+    """
     work = _Workspace(grid.shape)
     return tuple(_ImplicitDiffusionOperator(grid, d, dt, work)
                  for d in (coeffs.d_a, coeffs.d_b, coeffs.d_c))
@@ -195,22 +200,20 @@ def build_operators(grid, coeffs: DiffusionCoeffs,
 
 def step_diffusion_species(
     u_star: Field,
-    d: Coefficient,
-    dt: float,
+    op: _ImplicitDiffusionOperator,
     tol: float = DEFAULT_TOL,
     max_iter: Optional[int] = None,
     out: Optional[np.ndarray] = None,
-    op: Optional[_ImplicitDiffusionOperator] = None,
 ) -> tuple[Field, LinearSolveReport]:
     """Implicit Euler update of one species: solve (I - dt div(D grad)) u = u*.
 
-    The solution is written into ``out`` (a new array when None, sharing no
-    memory with u*).  ``op`` is the operator for ``d`` and ``dt`` on u*'s
-    grid, with its workspace, and any other op is refused; when None one is
-    built for this call.
+    ``op`` is the species' operator from :func:`build_operators`, which
+    holds D and dt; u* must lie on its grid.  The solution is written into
+    ``out`` (a new array when None, sharing no memory with u*).
     """
-    if not dt > 0.0:
-        raise PositivityError(f"step_diffusion_species: dt must be positive, got {dt}")
+    if op.grid != u_star.grid:
+        raise ValueError(f"step_diffusion_species: u_star is on grid {u_star.grid}, "
+                         f"its operator on {op.grid}")
     if not np.all(np.isfinite(u_star.values)):
         bad = int(np.flatnonzero(~np.isfinite(u_star.values.ravel()))[0])
         raise ValueError(f"u_star has a non-finite value at cell {bad}")
@@ -218,11 +221,6 @@ def step_diffusion_species(
         raise ValueError("step_diffusion_species: out must not share memory with u_star")
     if max_iter is None:
         max_iter = 10 * u_star.grid.num_cells
-    if op is None:
-        op = _ImplicitDiffusionOperator(u_star.grid, d, dt)
-    elif (op.grid, op.d, op.dt) != (u_star.grid, d, dt):  # op would silently replace them
-        raise ValueError(f"step_diffusion_species: op was built for grid, d, dt = {op.grid}, "
-                         f"{op.d!r}, {op.dt!r}, not {u_star.grid}, {d!r}, {dt!r}")
     x = np.empty_like(u_star.values) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):  # _pcg refuses what turns non-finite
         report = _pcg(op, u_star.values, x, tol, max_iter)
@@ -231,32 +229,27 @@ def step_diffusion_species(
 
 def step_diffusion(
     state_star: State,
-    coeffs: DiffusionCoeffs,
-    dt: float,
+    ops: tuple[_ImplicitDiffusionOperator, ...],
     tol: float = DEFAULT_TOL,
     max_iter: Optional[int] = None,
-    ops: Optional[tuple[_ImplicitDiffusionOperator, ...]] = None,
 ) -> tuple[State, tuple[LinearSolveReport, LinearSolveReport, LinearSolveReport]]:
     """Advance ``state_star`` itself by implicit diffusion: its stack in place, its time by dt.
 
-    The three solves are independent; each is solved into a scratch row and
-    then copied into its row of ``state_star.u`` (after an error the stack's
-    contents are unspecified).  ``ops`` are the operators of
-    :func:`build_operators` for ``coeffs`` and ``dt``, built here when None.
-    The result must be strictly positive; if it is not, the linear tolerance
-    is too loose for the data and a :class:`PositivityError` is raised
-    instead of silently clipping.
+    ``ops`` are the operators of species a, b and c from
+    :func:`build_operators`, and dt is theirs.  The three solves are
+    independent; each is solved into a scratch row and then copied into its
+    row of ``state_star.u`` (after an error the stack's contents are
+    unspecified).  The result must be strictly positive; if it is not, the
+    linear tolerance is too loose for the data and a
+    :class:`PositivityError` is raised instead of silently clipping.
     """
     state_star.require_positive("step_diffusion input")
-    if ops is None:
-        ops = build_operators(state_star.grid, coeffs, dt)
     scratch = np.empty_like(state_star.u[0])
     reports = []
-    for (_, f), d, op, row in zip(state_star.species(), (coeffs.d_a, coeffs.d_b, coeffs.d_c),
-                                  ops, state_star.u):
-        u_next, report = step_diffusion_species(f, d, dt, tol, max_iter, scratch, op)
+    for (_, f), op, row in zip(state_star.species(), ops, state_star.u):
+        u_next, report = step_diffusion_species(f, op, tol, max_iter, scratch)
         row[...] = u_next.values
         reports.append(report)
-    state_star.time += dt
+    state_star.time += ops[0].dt
     state_star.require_positive("diffusion update (tighten the linear solver tolerance)")
     return state_star, tuple(reports)

@@ -49,6 +49,11 @@ class Grid:
     h: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("dim", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.n < 1:

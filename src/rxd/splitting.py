@@ -42,10 +42,13 @@ MASS_DRIFT_TOL = 1e-8
 
 
 def whole_ratio(num: float, den: float) -> int:
-    """num/den rounded if that is a positive integer to within 1e-9 relative, else 0."""
+    """num/den rounded if that is a positive integer to within 1e-12 relative, else 0.
+
+    The slack covers the few ulps by which a quotient of rounded inputs misses its integer.
+    """
     ratio = num / den if den > 0.0 else 0.0
     whole = round(ratio) if 0.0 < ratio < math.inf else 0
-    return whole if abs(ratio - whole) <= 1e-9 * ratio else 0
+    return whole if abs(ratio - whole) <= 1e-12 * ratio else 0
 
 
 @dataclass(frozen=True)
@@ -60,14 +63,14 @@ class TimeConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not self.steps:
-            raise ValueError(
-                f"t_final/dt = {self.t_final!r}/{self.dt!r} = {self.t_final / self.dt!r} "
-                "is not a positive integer; partial final steps are not supported"
-            )
-        if (ratio := self.t_final / self.dt) >= 5e8:  # whole_ratio's slack is half a step there
+        if 5e8 <= (ratio := self.t_final / self.dt) < math.inf:  # an overflow is not whole
             raise ValueError(f"t_final/dt = {self.t_final!r}/{self.dt!r} = {ratio!r}: the step "
                              "count is too large to check as a whole number (at most 5e8)")
+        if not self.steps:
+            raise ValueError(
+                f"t_final/dt = {self.t_final!r}/{self.dt!r} = {ratio!r} "
+                "is not a positive integer; partial final steps are not supported"
+            )
 
     @property
     def steps(self) -> int:
@@ -165,35 +168,31 @@ def _check_row(row: DiagnosticsRow, first: DiagnosticsRow) -> None:
 
 def full_step(
     state: State,
-    dt: float,
     params: ModelParams,
-    coeffs: DiffusionCoeffs,
+    ops: tuple,
     options: SolverOptions = SolverOptions(),
     collect: bool = True,
-    ops: Optional[tuple] = None,
     energy_before: Optional[float] = None,
 ) -> tuple[State, Optional[DiagnosticsRow]]:
     """One split step: reaction with step dt, then diffusion with step dt.
 
-    Returns ``state``, advanced, and (when ``collect`` or in checked mode) a
-    diagnostics row with ``step`` left at 0 for the caller to fill in.
-    Both stages advance ``state.u`` itself (after an error its contents
-    are unspecified), so the step holds no stack besides ``state``'s.
-    ``ops`` (built here when None) serve both stages.  ``energy_before``
-    is the energy of ``state`` if the caller has it; checked mode computes
-    it otherwise.
+    ``ops`` are the run's diffusion operators from :func:`build_operators`:
+    they hold the coefficients and dt, and their workspace serves both
+    stages.  Returns ``state``, advanced, and (when ``collect`` or in
+    checked mode) a diagnostics row with ``step`` left at 0 for the caller
+    to fill in.  Both stages advance ``state.u`` itself (after an error its
+    contents are unspecified), so the step holds no stack besides
+    ``state``'s.  ``energy_before`` is the energy of ``state`` if the
+    caller has it; checked mode computes it otherwise.
     """
     checked = options.checked
     if checked and energy_before is None:
         energy_before = discrete_energy(state, params)
-    ops = build_operators(state.grid, coeffs, dt) if ops is None else ops
-    star, solve = step_reaction(state, dt, params, options.reaction_tol, ops[0].work.rows)
+    star, solve = step_reaction(state, ops[0].dt, params, options.reaction_tol, ops[0].work.rows)
     reaction_residual = solve.max_residual
     del solve  # its per-cell arrays leave the step's peak before the diffusion
     energy_star = discrete_energy(star, params) if checked else None
-    next_state, reports = step_diffusion(
-        star, coeffs, dt, options.cg_tol, options.cg_max_iter, ops
-    )
+    next_state, reports = step_diffusion(star, ops, options.cg_tol, options.cg_max_iter)
     row = None
     if collect or checked:
         row = _state_row(next_state, params, reaction_residual,
@@ -256,10 +255,8 @@ def run_simulation(
         want_row = diagnostics_every > 0 and (k % diagnostics_every == 0 or k == tc.steps)
         if held:
             state = State.from_stack(state.grid, state.u.copy(), state.time)
-        state, row = full_step(
-            state, tc.dt, params, coeffs, options, collect=want_row,
-            ops=ops, energy_before=None if row is None else row.energy,
-        )
+        state, row = full_step(state, params, ops, options, collect=want_row,
+                               energy_before=None if row is None else row.energy)
         # k * dt rather than a running sum of dt, which drifts by roundoff.
         state.time = t0 + k * tc.dt
         if row is not None:

@@ -19,6 +19,7 @@ from rxd import (
     State,
     TimeConfig,
     apply_variable_laplacian,
+    build_operators,
     full_step,
     inner_product,
     make_initial_condition,
@@ -184,7 +185,8 @@ def test_criterion_8_diffusion_oracle_equivalence():
         u = Field.from_function(grid, lambda x: np.cos(2.0 * np.pi * x))
         lam = (2.0 / grid.h**2) * (1.0 - np.cos(2.0 * np.pi * grid.h))
         for d in (1.0, 0.3):
-            out, _ = step_diffusion_species(u, d, dt=0.01, tol=1e-12)
+            op = build_operators(grid, DiffusionCoeffs(d, d, d), 0.01)[0]
+            out, _ = step_diffusion_species(u, op, tol=1e-12)
             expected = u.values / (1.0 + 0.01 * d * lam)
             worst = max(worst, float(np.max(np.abs(out.values - expected))))
     amp_ok = worst <= 1e-9
@@ -193,9 +195,10 @@ def test_criterion_8_diffusion_oracle_equivalence():
     grid = Grid.box(1, 16)
     tol = 1e-10
     props_ok = True
+    op = build_operators(grid, DiffusionCoeffs(0.7, 0.7, 0.7), 0.05)[0]
     for _ in range(1000):
         u = Field(grid, rng.uniform(0.05, 2.0, grid.shape))
-        out, _ = step_diffusion_species(u, 0.7, dt=0.05, tol=tol)
+        out, _ = step_diffusion_species(u, op, tol=tol)
         eps = 10 * tol * norm_max(u)
         props_ok &= out.values.min() >= u.values.min() - eps
         props_ok &= out.values.max() <= u.values.max() + eps
@@ -255,7 +258,8 @@ def test_criterion_9_property_suite():
 
     # equilibrium fixed point
     eq = State.uniform(Grid(2, 8, (-1.0, -1.0), (1.0, 1.0)), 1.0, 1.0, 1.0)
-    out, _ = full_step(State.from_stack(eq.grid, eq.u.copy()), 0.1, P_UNIT, COEFFS)
+    out, _ = full_step(State.from_stack(eq.grid, eq.u.copy()), P_UNIT,
+                       build_operators(eq.grid, COEFFS, 0.1))
     dev = max(
         float(np.max(np.abs(o.values - i.values)))
         for o, i in zip((out.a, out.b, out.c), (eq.a, eq.b, eq.c))

@@ -84,7 +84,7 @@ def test_diffusion_stage_in_place_peak(state):
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
     ops = build_operators(state.grid, coeffs, DT)
     work = _copy(state)
-    peak = _peak_in_fields(lambda: step_diffusion(work, coeffs, DT, ops=ops))
+    peak = _peak_in_fields(lambda: step_diffusion(work, ops))
     assert peak <= 1.5, peak
 
 

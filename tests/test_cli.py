@@ -520,6 +520,11 @@ CONTRACT = [
     ("test_cli_contract[half-step-past-5e8]",
      [*_RUN, *_sets("time.dt=1", "time.t_final=500000000.5")], {}, 2,
      ["config error: time:", "= 500000000.5: the step count is too large to check"]),
+    # a slack of 1e-9 of the ratio took these for 1e8 and 4e8 whole steps
+    *((f"test_cli_contract[tenth-step-at-{t_final}]",
+       [*_RUN, *_sets("time.dt=1", f"time.t_final={t_final}")], {}, 2,
+       ["config error: time:", f"= {t_final} is not a positive integer"])
+      for t_final in ("100000000.1", "400000000.4")),
     ("test_cli_contract[zero-mesh-size]",
      ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.25,0]"], {}, 2,
      ["config error: study_space: h = 0.0 does not tile the domain extent"]),

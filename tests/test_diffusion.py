@@ -18,6 +18,7 @@ from rxd import (
     ModelParams,
     PositivityError,
     norm_max,
+    build_operators,
     step_diffusion,
     step_diffusion_species,
 )
@@ -32,10 +33,15 @@ def _copy(state):
     return State.from_stack(state.grid, state.u.copy(), state.time)
 
 
+def _op(g, d, dt):
+    """The implicit operator of one species, over a workspace of its own."""
+    return diffusion._ImplicitDiffusionOperator(g, d, dt, diffusion._Workspace(g.shape))
+
+
 def test_constant_field_is_fixed_point():
     g = Grid.box(2, 8)
     u = Field.full(g, 5.0)
-    out, report = step_diffusion_species(u, 0.7, dt=0.3)
+    out, report = step_diffusion_species(u, _op(g, 0.7, 0.3))
     np.testing.assert_array_equal(out.values, 5.0)
     assert report.iterations == 0
     assert report.final_relative_residual <= TOL
@@ -47,7 +53,7 @@ def test_fourier_mode_amplification():
     # (verified against the explicit solve here).
     g = Grid.box(1, 8)
     u = Field.from_function(g, lambda x: np.cos(2.0 * np.pi * x))
-    out, report = step_diffusion_species(u, 1.0, dt=0.01, tol=1e-12)
+    out, report = step_diffusion_species(u, _op(g, 1.0, 0.01), tol=1e-12)
     lam = (2.0 / g.h**2) * (1.0 - np.cos(2.0 * np.pi * g.h))
     np.testing.assert_allclose(out.values, u.values / (1.0 + 0.01 * lam), atol=1e-11)
     amp = out.values[0] / u.values[0]
@@ -60,7 +66,7 @@ def test_mass_conservation_random_fields():
     g = Grid.box(2, 16)
     for _ in range(10):
         u = Field(g, rng.uniform(0.2, 1.2, g.shape))
-        out, _ = step_diffusion_species(u, 0.8, dt=0.05, tol=TOL)
+        out, _ = step_diffusion_species(u, _op(g, 0.8, 0.05), tol=TOL)
         m0, m1 = mean_value(u), mean_value(out)
         assert abs(m1 - m0) <= 10 * TOL * abs(m0) + 1e-13
 
@@ -70,7 +76,7 @@ def test_discrete_maximum_principle():
     g = Grid.box(2, 12)
     for _ in range(10):
         u = Field(g, rng.uniform(-1.0, 2.0, g.shape))
-        out, _ = step_diffusion_species(u, 1.3, dt=0.1, tol=TOL)
+        out, _ = step_diffusion_species(u, _op(g, 1.3, 0.1), tol=TOL)
         eps = 10 * TOL * norm_max(u)
         assert out.values.min() >= u.values.min() - eps
         assert out.values.max() <= u.values.max() + eps
@@ -78,7 +84,7 @@ def test_discrete_maximum_principle():
     spike = np.zeros(g.shape)
     spike[3, 4] = 1.0
     u = Field(g, spike + 0.5)
-    out, _ = step_diffusion_species(u, 1.0, dt=0.05, tol=TOL)
+    out, _ = step_diffusion_species(u, _op(g, 1.0, 0.05), tol=TOL)
     eps = 10 * TOL * norm_max(u)
     assert u.values.min() - eps <= out.values.min()
     assert out.values.max() <= u.values.max() + eps
@@ -86,11 +92,9 @@ def test_discrete_maximum_principle():
 
 def test_operator_is_positive_definite():
     # <(I - dt L) f, f> >= ||f||_2^2 since -L is positive semidefinite.
-    from rxd.diffusion import _ImplicitDiffusionOperator
-
     rng = np.random.default_rng(33)
     g = Grid.box(2, 10)
-    op = _ImplicitDiffusionOperator(g, 0.9, dt=0.2)
+    op = _op(g, 0.9, 0.2)
     for _ in range(10):
         f = Field(g, rng.normal(size=g.shape))
         af = Field(g, op.apply(f.values))
@@ -103,7 +107,7 @@ def test_even_symmetry_is_preserved():
     g = Grid.box(1, 16)
     v = rng.uniform(0.5, 1.5, g.shape)
     v = 0.5 * (v + v[::-1])  # even about the domain center
-    out, _ = step_diffusion_species(Field(g, v), 0.6, dt=0.07, tol=1e-12)
+    out, _ = step_diffusion_species(Field(g, v), _op(g, 0.6, 0.07), tol=1e-12)
     np.testing.assert_allclose(out.values, out.values[::-1], atol=1e-10)
 
 
@@ -115,7 +119,7 @@ def test_variable_coefficient_solution_satisfies_equation():
     d = lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x)  # noqa: E731
     u = Field(g, rng.uniform(0.5, 1.5, g.shape))
     dt = 0.02
-    out, report = step_diffusion_species(u, d, dt=dt, tol=1e-12)
+    out, report = step_diffusion_species(u, _op(g, d, dt), tol=1e-12)
     residual = out.values - dt * apply_variable_laplacian(out, d).values - u.values
     assert np.max(np.abs(residual)) <= 1e-10
     assert report.final_relative_residual <= 1e-12
@@ -128,7 +132,7 @@ def test_nonconvergence_raises_with_report():
     u = Field(g, np.sin(2 * np.pi * g.mesh()[0]) + 2.0)
     d = lambda x, y: 1.0 + 0.9 * np.cos(2.0 * np.pi * x)  # noqa: E731
     with pytest.raises(ConvergenceError, match="after 1 iterations"):
-        step_diffusion_species(u, d, dt=1.0, tol=1e-14, max_iter=1)
+        step_diffusion_species(u, _op(g, d, 1.0), tol=1e-14, max_iter=1)
 
 
 def test_infinite_face_coefficient_is_refused():
@@ -137,9 +141,9 @@ def test_infinite_face_coefficient_is_refused():
     u = Field(g, np.sin(2 * np.pi * g.mesh()[0]) + 2.0)
     d = lambda x, y: np.where((x == 0.5) & (y < 0.1), np.inf, 1.0)  # noqa: E731
     with pytest.raises(ValueError, match="not finite on a face along axis 0"):
-        step_diffusion_species(u, d, dt=0.1)
+        step_diffusion_species(u, _op(g, d, 0.1))
     with pytest.raises(ValueError, match="must be finite"):
-        step_diffusion_species(u, np.inf, dt=0.1)
+        step_diffusion_species(u, _op(g, np.inf, 0.1))
 
 
 def test_non_finite_residual_is_not_converged():
@@ -147,10 +151,10 @@ def test_non_finite_residual_is_not_converged():
     # residual NaN; `while rel > tol` alone would report convergence.
     g = Grid.box(2, 64, -1.0, 1.0)
     u = Field(g, np.sin(np.pi * g.mesh()[0]) + 2.0)
-    op = diffusion._ImplicitDiffusionOperator(g, 1.0, dt=0.01)
+    op = _op(g, 1.0, 0.01)
     op.factors[1][1] = np.nan
     with pytest.raises(ConvergenceError, match="relative residual nan"):
-        step_diffusion_species(u, 1.0, dt=0.01, op=op)
+        step_diffusion_species(u, op)
 
 
 def test_step_diffusion_three_species():
@@ -163,13 +167,13 @@ def test_step_diffusion_three_species():
         time=1.5,
     )
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
-    out, reports = step_diffusion(s, coeffs, dt=0.01)
+    out, reports = step_diffusion(s, build_operators(g, coeffs, 0.01))
     assert out.time == pytest.approx(1.51, rel=1e-15)
     assert len(reports) == 3 and all(r.final_relative_residual <= TOL for r in reports)
     assert min(out.min_values()) > 0.0
     # uniform state is untouched and reports zero iterations
     s_const = State.uniform(g, 0.3, 0.4, 0.5)
-    out_const, reports_const = step_diffusion(s_const, coeffs, dt=0.01)
+    out_const, reports_const = step_diffusion(s_const, build_operators(g, coeffs, 0.01))
     np.testing.assert_array_equal(out_const.b.values, 0.4)
     assert all(r.iterations == 0 for r in reports_const)
 
@@ -179,38 +183,37 @@ def test_output_buffer_must_not_alias_the_input():
     # a wrong state (up to 0.159 off here) whose reports looked converged.
     # step_diffusion solves each species into a scratch row first, so its
     # stack gets the bits of solves into new arrays.
-    s = make_initial_condition(Grid.box(2, 32, -1.0, 1.0))
+    g = Grid.box(2, 32, -1.0, 1.0)
+    s = make_initial_condition(g)
     coeffs = DiffusionCoeffs(0.05, lambda x, y: 1.0 + 0.5 * np.cos(np.pi * x), 0.1)
-    expected = np.stack([step_diffusion_species(f, d, dt=0.01)[0].values
+    expected = np.stack([step_diffusion_species(f, _op(g, d, 0.01))[0].values
                          for (_, f), d in zip(s.species(), (coeffs.d_a, coeffs.d_b, coeffs.d_c))])
     before = s.u.copy()
     with pytest.raises(ValueError, match="must not share memory"):
-        step_diffusion_species(s.b, coeffs.d_b, dt=0.01, out=s.b.values)
+        step_diffusion_species(s.b, _op(g, coeffs.d_b, 0.01), out=s.b.values)
     np.testing.assert_array_equal(s.u, before)
-    stepped, _ = step_diffusion(s, coeffs, dt=0.01)
+    stepped, _ = step_diffusion(s, build_operators(g, coeffs, 0.01))
     assert stepped.u is s.u
     np.testing.assert_array_equal(s.u.view(np.uint64), expected.view(np.uint64))
 
 
-def test_operators_built_for_other_arguments_are_refused():
-    # step_diffusion_species solved with op's dt and faces: operators for
-    # dt = 1 gave a state 0.55 off the dt = 0.01 step, stamped t = 0.01.
+def test_operators_for_another_grid_are_refused():
+    # The operators hold D and dt, so only the grid of the field can disagree
+    # with them: a solve on it would read the wrong cells or none.
     g = Grid.box(2, 16, -1.0, 1.0)
     s = make_initial_condition(g)
     coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
-    expected, _ = step_diffusion(_copy(s), coeffs, 0.01)
-    out, _ = step_diffusion(_copy(s), coeffs, 0.01,
-                            ops=diffusion.build_operators(g, coeffs, 0.01))
-    np.testing.assert_array_equal(out.u, expected.u)
-    for ops in (diffusion.build_operators(g, coeffs, 1.0),
-                diffusion.build_operators(g, DiffusionCoeffs(0.5, 1.0, 0.1), 0.01),
-                diffusion.build_operators(Grid.box(2, 16), coeffs, 0.01)):
-        with pytest.raises(ValueError, match=r"op was built for grid, d, dt = .*, not "):
-            step_diffusion(s, coeffs, 0.01, ops=ops)
+    for other in (Grid.box(2, 16), Grid.box(2, 8, -1.0, 1.0)):
+        ops = build_operators(other, coeffs, 0.01)
+        with pytest.raises(ValueError, match=r"u_star is on grid .*, its operator on "):
+            step_diffusion_species(s.a, ops[0])
+        with pytest.raises(ValueError, match=r"u_star is on grid .*, its operator on "):
+            step_diffusion(_copy(s), ops)
 
 
 def test_zero_right_hand_side_is_solved_without_iterations():
-    x, report = step_diffusion_species(Field.full(Grid.box(2, 8), 0.0), 1.0, dt=0.1)
+    g = Grid.box(2, 8)
+    x, report = step_diffusion_species(Field.full(g, 0.0), _op(g, 1.0, 0.1))
     np.testing.assert_array_equal(x.values, 0.0)
     assert (report.iterations, report.final_relative_residual) == (0, 0.0)
 
@@ -226,33 +229,35 @@ def test_solve_scales_exactly_with_the_data(d):
     u = Field.from_function(g, lambda x, y: 1.0 + 0.5 * np.cos(np.pi * x))
     for k in (-1060, -1000, -560, 0, 500, 700):
         data = np.ldexp(u.values, k)
-        ref, ref_report = step_diffusion_species(Field(g, np.ldexp(data, -k)), d, dt=0.01)
-        x, report = step_diffusion_species(Field(g, data), d, dt=0.01)
+        ref, ref_report = step_diffusion_species(Field(g, np.ldexp(data, -k)), _op(g, d, 0.01))
+        x, report = step_diffusion_species(Field(g, data), _op(g, d, 0.01))
         np.testing.assert_array_equal(x.values, np.ldexp(ref.values, k))
         assert report == ref_report
         assert k < -1022 or np.array_equal(np.ldexp(data, -k), u.values)
 
 
 def test_step_diffusion_species_refuses_bad_input():
+    # dt is refused where the operator is built, beside D and the symbol.
     g = Grid.box(2, 8)
-    u = Field.full(g, 1.0)
-    for dt in (0.0, -0.1, float("nan")):
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(PositivityError, match="dt must be positive"):
-            step_diffusion_species(u, 1.0, dt=dt)
+            _op(g, 1.0, dt)
+        with pytest.raises(PositivityError, match="dt must be positive"):
+            build_operators(g, DiffusionCoeffs(0.05, 1.0, 0.1), dt)
     values = np.ones(g.shape)
     values.flat[11] = np.inf
     with pytest.raises(ValueError, match="non-finite value at cell 11"):
-        step_diffusion_species(Field(g, values), 1.0, dt=0.1)
+        step_diffusion_species(Field(g, values), _op(g, 1.0, 0.1))
 
 
 def test_cg_breakdown_raises_instead_of_dividing():
     # An operator that is not positive definite makes p.Ap negative at once.
     g = Grid.box(1, 16)
     u = Field(g, 2.0 + np.sin(2.0 * np.pi * g.mesh()[0]))
-    op = diffusion._ImplicitDiffusionOperator(g, 1.0, dt=0.1)
+    op = _op(g, 1.0, 0.1)
     op.apply = lambda v, out=None: np.negative(v, out=out)
     with pytest.raises(ConvergenceError, match=r"broke down after 0 iterations: .* p\.Ap = -"):
-        step_diffusion_species(u, 1.0, dt=0.1, op=op)
+        step_diffusion_species(u, op)
 
 
 def test_step_diffusion_refuses_a_non_positive_update(monkeypatch):
@@ -273,7 +278,7 @@ def test_step_diffusion_refuses_a_non_positive_update(monkeypatch):
     monkeypatch.setattr(diffusion, "step_diffusion_species", one_bad_cell)
     s = make_initial_condition(Grid.box(2, 8, -1.0, 1.0))
     with pytest.raises(PositivityError) as exc_info:
-        step_diffusion(s, DiffusionCoeffs(0.05, 1.0, 0.1), dt=0.01)
+        step_diffusion(s, build_operators(s.grid, DiffusionCoeffs(0.05, 1.0, 0.1), 0.01))
     message = str(exc_info.value)
     assert "species b" in message and "cell 5" in message and "tighten" in message
 
@@ -290,7 +295,7 @@ def test_step_diffusion_dissipates_energy():
             Field(g, rng.uniform(0.1, 2.0, g.shape)),
         )
         before = discrete_energy(s, p)
-        out, _ = step_diffusion(s, coeffs, dt=0.05)
+        out, _ = step_diffusion(s, build_operators(g, coeffs, 0.05))
         assert discrete_energy(out, p) <= before + 1e-10
 
 
@@ -300,7 +305,7 @@ def test_constant_coefficient_is_solved_without_cg_iterations():
     for dim, n in ((1, 64), (2, 24), (3, 7)):
         g = Grid.box(dim, n)
         u = Field(g, rng.uniform(0.2, 1.2, g.shape))
-        _, report = step_diffusion_species(u, 0.7, dt=0.05)
+        _, report = step_diffusion_species(u, _op(g, 0.7, 0.05))
         assert report.iterations == 0
         assert report.final_relative_residual <= TOL
 
@@ -343,7 +348,7 @@ def test_solution_satisfies_implicit_equation_against_oracle(dim, n, kind, dt):
     bump = np.maximum(np.cos(2.0 * np.pi * g.mesh()[0]), 0.0) ** 4
     u = Field(g, 1e-12 + bump)
     d = _coefficient(kind)
-    out, report = step_diffusion_species(u, d, dt=dt, tol=1e-12)
+    out, report = step_diffusion_species(u, _op(g, d, dt), tol=1e-12)
     residual = out.values - dt * _oracle_laplacian(out, d) - u.values
     assert np.max(np.abs(residual)) <= 1e-10
     assert report.final_relative_residual <= 1e-12
@@ -398,7 +403,7 @@ def test_stencil_and_residual_match_roll_reference_bitwise(dim, n, kind):
     np.testing.assert_array_equal(_bits(out), expected)
     axes = tuple(range(dim))
     for dt in (1e-6, 1e-2, 10.0, 100.0):
-        op = diffusion._ImplicitDiffusionOperator(g, d, dt)
+        op = _op(g, d, dt)
         _fill_nan(op.work)
         np.testing.assert_array_equal(
             _bits(op.residual(b, x)), _bits(implicit_residual(b, x, faces, g.h, dt)))
@@ -420,9 +425,9 @@ def test_in_place_cg_matches_allocating_reference_bitwise(dim, n):
                     1e-12 * rng.uniform(0.5, 2.0, g.shape), smooth)
     d = lambda x, *rest: 1.0 + 0.9 * np.cos(2.0 * np.pi * x)  # noqa: E731
     for dt in (0.1, 10.0, 100.0):
-        op = diffusion._ImplicitDiffusionOperator(g, d, dt)
+        op = _op(g, d, dt)
         for b in (smooth, tiny):
-            out, report = step_diffusion_species(Field(g, b), d, dt=dt, tol=1e-12)
+            out, report = step_diffusion_species(Field(g, b), _op(g, d, dt), tol=1e-12)
             x, iterations, rel = pcg(op.apply, op.precondition, b, 1e-12)
             assert report.iterations == iterations > 0
             assert report.final_relative_residual == rel
@@ -433,7 +438,7 @@ def _cosine_iterations(n: int, amplitude: float) -> int:
     # The CLI's cosine profile on the benchmark scene, one step at dt = 0.01.
     g = Grid.box(2, n, -1.0, 1.0)
     d = lambda x, *rest: 1.0 + amplitude * np.cos(np.pi * x)  # noqa: E731
-    _, report = step_diffusion_species(make_initial_condition(g).b, d, dt=0.01)
+    _, report = step_diffusion_species(make_initial_condition(g).b, _op(g, d, 0.01))
     return report.iterations
 
 

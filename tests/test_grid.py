@@ -43,6 +43,12 @@ def test_grid_rejects_bad_input():
         Grid(2, 8, (-1.0, -1.0), (np.inf, 1.0))  # h = inf
     with pytest.raises(ValueError):
         Grid(1, 8, (np.nan,), (1.0,))
+    # a fractional or boolean count gave num_cells == 72.25 or one cell
+    for dim, n in ((2, 8.5), (2, True), (True, 8), (2.0, 8), (2, np.float64(8.0)), (2, "8")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Grid(dim, n, (0.0,) * 2, (1.0,) * 2)
+    g = Grid(np.int64(2), np.int32(8), (0.0, 0.0), (1.0, 1.0))
+    assert (type(g.dim), type(g.n), g.num_cells) == (int, int, 64)
 
 
 def test_mesh_axis_convention():

@@ -13,6 +13,7 @@ from rxd import (
     ModelParams,
     PositivityError,
     State,
+    build_operators,
     discrete_energy,
     make_initial_condition,
     solve_reaction_cell,
@@ -303,11 +304,11 @@ def test_newton_iterations_on_benchmark_scene(dt, max_newton):
     # Starting from R = 0 alone took up to 13 (dt = 0.01) and 14 (dt = 1/1600)
     # iterations over these steps.
     s = _benchmark_scene(64)
-    coeffs = DiffusionCoeffs(0.05, 1.0, 0.1)
+    ops = build_operators(s.grid, DiffusionCoeffs(0.05, 1.0, 0.1), dt)
     for _ in range(3):
         star, result = step_reaction(s, dt, P_UNIT)
         assert result.iterations.max() <= max_newton
-        s, _ = step_diffusion(star, coeffs, dt)
+        s, _ = step_diffusion(star, ops)
 
 
 def test_newton_counts_use_the_smallest_type_that_holds_max_iter():

@@ -13,6 +13,7 @@ from rxd import (
     SolverOptions,
     State,
     TimeConfig,
+    build_operators,
     discrete_energy,
     full_step,
     make_initial_condition,
@@ -47,7 +48,10 @@ def test_time_config():
         TimeConfig(0.4, 0.2)  # zero steps
     assert TimeConfig(1.0, 4e8).steps == 400_000_000
     with pytest.raises(ValueError, match="too large to check"):
-        TimeConfig(1.0, 500000000.5)  # 1e-9 of the ratio is half a step
+        TimeConfig(1.0, 500000000.5)  # refused as too large before it is checked as whole
+    for t_final in (100000000.1, 400000000.4):  # a slack of 1e-9 of the ratio dropped the tenth
+        with pytest.raises(ValueError, match="is not a positive integer"):
+            TimeConfig(1.0, t_final)
     for dt, t_final in ((0.01, np.inf), (np.inf, 0.2), (np.nan, 0.2), (0.01, np.nan)):
         with pytest.raises(ValueError):
             TimeConfig(dt, t_final)
@@ -83,7 +87,7 @@ def test_solver_defaults_have_one_home():
 def test_full_step_equilibrium_fixed_point():
     g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
     s = State.uniform(g, 1.0, 1.0, 1.0)
-    out, row = full_step(_copy(s), 0.1, P_UNIT, COEFFS)
+    out, row = full_step(_copy(s), P_UNIT, build_operators(g, COEFFS, 0.1))
     for f_in, f_out in zip((s.a, s.b, s.c), (out.a, out.b, out.c)):
         assert np.max(np.abs(f_out.values - f_in.values)) <= 1e-12
     assert row.energy == pytest.approx(-12.0, rel=1e-14)
@@ -105,7 +109,7 @@ def test_checked_step_names_the_stage_that_raised_energy(monkeypatch, stage, lab
     monkeypatch.setattr(splitting, stage, heating)
     g = Grid(2, 8, (-1.0, -1.0), (1.0, 1.0))
     with pytest.raises(AssertionError, match=f"energy increased across the {label}"):
-        full_step(State.uniform(g, 1.0, 1.0, 1.0), 0.1, P_UNIT, COEFFS)
+        full_step(State.uniform(g, 1.0, 1.0, 1.0), P_UNIT, build_operators(g, COEFFS, 0.1))
 
 
 def test_full_step_uniform_state_reduces_to_reaction():
@@ -116,7 +120,7 @@ def test_full_step_uniform_state_reduces_to_reaction():
         lambda x, y: 0.3 + 0.1 * np.cos(np.pi * x), 1.0, 0.1
     )
     s = State.uniform(g, 2.0, 2.0, 1.0)
-    out, _ = full_step(s, 0.1, P_UNIT, coeffs)
+    out, _ = full_step(s, P_UNIT, build_operators(g, coeffs, 0.1))
     np.testing.assert_allclose(out.a.values, 1.8195395783, atol=1e-9)
     np.testing.assert_allclose(out.b.values, 1.8195395783, atol=1e-9)
     np.testing.assert_allclose(out.c.values, 1.1804604217, atol=1e-9)
@@ -126,7 +130,7 @@ def test_full_step_energy_strictly_decreases_on_benchmark():
     g = Grid(2, 32, (-1.0, -1.0), (1.0, 1.0))
     s = make_initial_condition(g)
     before = discrete_energy(s, P_UNIT)
-    _, row = full_step(s, 0.01, P_UNIT, COEFFS)
+    _, row = full_step(s, P_UNIT, build_operators(g, COEFFS, 0.01))
     assert row.energy < before
 
 
@@ -292,10 +296,10 @@ def test_run_simulation_matches_standalone_steps_bitwise(case, snapshot_every, t
     u0 = initial.u.copy()
     states, rows = [_copy(initial)], []
     for _ in range(tc.steps):
-        ops = diffusion.build_operators(initial.grid, coeffs, tc.dt)
+        ops = build_operators(initial.grid, coeffs, tc.dt)
         for view in (ops[0].work.flux, ops[0].work.tmp, ops[0].work.res, ops[0].work.rows):
             view.fill(np.nan)
-        state, row = full_step(_copy(states[-1]), tc.dt, P_UNIT, coeffs, ops=ops)
+        state, row = full_step(_copy(states[-1]), P_UNIT, ops)
         states.append(state)
         rows.append(row)
     assert case != "cosine-2d" or all(row.cg_iters_b > 0 for row in rows)
@@ -334,22 +338,23 @@ def test_in_place_stages_match_out_of_place_bitwise(case):
                                     reaction.DEFAULT_MAX_ITER)
     star_expected = State.from_stack(initial.grid, np.stack([a - r, b - r, c + r]),
                                      initial.time)
-    expected = np.stack([diffusion.step_diffusion_species(f, d, tc.dt)[0].values
-                         for (_, f), d in zip(star_expected.species(),
-                                              (coeffs.d_a, coeffs.d_b, coeffs.d_c))])
+    expected = np.stack([diffusion.step_diffusion_species(f, op)[0].values
+                         for (_, f), op in zip(star_expected.species(),
+                                               build_operators(initial.grid, coeffs, tc.dt))])
 
     work = _copy(initial)
     star, solve = reaction.step_reaction(work, tc.dt, P_UNIT)
     assert star is work and star.time == initial.time
     np.testing.assert_array_equal(_bits(star), _bits(star_expected))
     np.testing.assert_array_equal(solve.r.values.view(np.uint64), r.view(np.uint64))
-    stepped, reports = diffusion.step_diffusion(star, coeffs, tc.dt)
+    stepped, reports = diffusion.step_diffusion(star, build_operators(initial.grid, coeffs,
+                                                                      tc.dt))
     assert stepped is work and stepped.time == initial.time + tc.dt
     np.testing.assert_array_equal(_bits(stepped), expected.view(np.uint64))
     assert case != "cosine-2d" or reports[1].iterations > 0
 
     work = _copy(initial)
-    stepped, row = full_step(work, tc.dt, P_UNIT, coeffs)
+    stepped, row = full_step(work, P_UNIT, build_operators(initial.grid, coeffs, tc.dt))
     assert stepped is work
     np.testing.assert_array_equal(_bits(stepped), expected.view(np.uint64))
     assert (row.cg_iters_a, row.cg_iters_b, row.cg_iters_c) == tuple(
@@ -367,7 +372,7 @@ def test_checked_run_computes_energy_twice_per_step(monkeypatch):
     run_simulation(_copy(s), TimeConfig(0.01, 0.04), P_UNIT, COEFFS, diagnostics_every=0)
     assert len(calls) == 1 + 2 * 4
     calls.clear()
-    full_step(s, 0.01, P_UNIT, COEFFS)
+    full_step(s, P_UNIT, build_operators(s.grid, COEFFS, 0.01))
     assert len(calls) == 3
 
 

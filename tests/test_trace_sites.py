@@ -6,13 +6,15 @@ timing wrapper; a site that no longer resolves is reported as
 checks every site without running the benchmark.
 """
 
+import csv
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from rxd import Grid, cli, diffusion, grid, make_initial_condition, splitting, study, write_field
+from rxd import (Grid, State, cli, diffusion, grid, make_initial_condition, splitting, study,
+                 write_field)
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -57,6 +59,22 @@ def test_run_writes_every_snapshot_through_cli_write_field(tmp_path, monkeypatch
     assert len(calls) == 3 * (steps + 1)
     for args in calls:
         assert isinstance(args[1], str) and Path(args[1]).is_file()
+
+
+def test_paper_2d_run_starts_from_cli_make_initial_condition(tmp_path, monkeypatch):
+    # perfbench/child.py seeds every benchmark run by replacing
+    # cli.make_initial_condition, so a paper-2d run must look it up at call time.
+    monkeypatch.setattr(cli, "make_initial_condition",
+                        lambda g: State.uniform(g, 0.25, 0.5, 0.75))
+    code = cli.main([
+        "run", "--out", str(tmp_path),
+        "--set", "grid.n=8", "--set", "time.dt=0.1", "--set", "time.t_final=0.2",
+    ])
+    assert code == 0
+    with open(tmp_path / "diagnostics.csv", newline="") as fh:
+        first = next(csv.DictReader(fh))
+    assert first["step"] == "0"
+    assert [float(first[f"min_{name}"]) for name in "abc"] == [0.25, 0.5, 0.75]
 
 
 def test_info_callbacks_read_real_outputs(tmp_path, monkeypatch):
