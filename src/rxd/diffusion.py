@@ -26,11 +26,14 @@ expressions, so they give the same bits.  Every function advances the
 state it is given, and only a state handed to ``on_snapshot`` is copied
 before the next step (:func:`rxd.splitting.run_simulation`).  Here each
 species is solved into one scratch row, allocated per call, and copied into
-its own row after its solve, because CG reads u* until it has converged.
+its own row after its solve: the solve reads u* until it has formed
+x0 = M^-1 u* and the first residual u* - A x0, and x0 is written first.
 
 Positivity of the update is a property of the exact solve; it is asserted
 after the solve rather than enforced, since clipping would break mass
-conservation.  A violation signals a far-too-loose tolerance.
+conservation.  A loose tolerance can violate it, and so can the spectral
+solve's absolute roundoff (~eps max|u*|) at any tolerance; the refusal
+names each species' final CG relative residual to tell the two apart.
 """
 
 from __future__ import annotations
@@ -239,9 +242,9 @@ def step_diffusion(
     :func:`build_operators`, and dt is theirs.  The three solves are
     independent; each is solved into a scratch row and then copied into its
     row of ``state_star.u`` (after an error the stack's contents are
-    unspecified).  The result must be strictly positive; if it is not, the
-    linear tolerance is too loose for the data and a
-    :class:`PositivityError` is raised instead of silently clipping.
+    unspecified).  The result must be strictly positive; if it is not, a
+    :class:`PositivityError` that names each species' final CG relative
+    residual is raised instead of silently clipping.
     """
     state_star.require_positive("step_diffusion input")
     scratch = np.empty_like(state_star.u[0])
@@ -251,5 +254,6 @@ def step_diffusion(
         row[...] = u_next.values
         reports.append(report)
     state_star.time += ops[0].dt
-    state_star.require_positive("diffusion update (tighten the linear solver tolerance)")
+    residuals = ", ".join(f"{s} {r.final_relative_residual:.2g}" for s, r in zip("abc", reports))
+    state_star.require_positive(f"diffusion update (final CG relative residuals {residuals})")
     return state_star, tuple(reports)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, TextIO, Union
 
 import numpy as np
@@ -42,39 +42,34 @@ MASS_DRIFT_TOL = 1e-8
 
 
 def whole_ratio(num: float, den: float) -> int:
-    """num/den rounded if that is a positive integer to within 1e-12 relative, else 0.
+    """num/den rounded if below 5e8 and within 1e-12 (relative) of a positive integer, else 0.
 
     The slack covers the few ulps by which a quotient of rounded inputs misses its integer.
+    Below 5e8 it lets through less than 5e-4 of a unit; from 1e11 on it would pass a tenth.
     """
     ratio = num / den if den > 0.0 else 0.0
-    whole = round(ratio) if 0.0 < ratio < math.inf else 0
+    whole = round(ratio) if 0.0 < ratio < 5e8 else 0
     return whole if abs(ratio - whole) <= 1e-12 * ratio else 0
 
 
 @dataclass(frozen=True)
 class TimeConfig:
-    """Fixed-step time axis: t_final must be an integer multiple of dt."""
+    """Fixed-step time axis: t_final must be a whole number, ``steps``, of steps dt."""
 
     dt: float
     t_final: float
+    steps: int = field(init=False)
 
     def __post_init__(self):
         for name in ("dt", "t_final"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if 5e8 <= (ratio := self.t_final / self.dt) < math.inf:  # an overflow is not whole
-            raise ValueError(f"t_final/dt = {self.t_final!r}/{self.dt!r} = {ratio!r}: the step "
-                             "count is too large to check as a whole number (at most 5e8)")
+        object.__setattr__(self, "steps", whole_ratio(self.t_final, self.dt))
         if not self.steps:
-            raise ValueError(
-                f"t_final/dt = {self.t_final!r}/{self.dt!r} = {ratio!r} "
-                "is not a positive integer; partial final steps are not supported"
-            )
-
-    @property
-    def steps(self) -> int:
-        return whole_ratio(self.t_final, self.dt)
+            ratio = self.t_final / self.dt
+            raise ValueError(f"t_final/dt = {self.t_final!r}/{self.dt!r} = {ratio!r} is not a "
+                             "positive integer below 5e8; partial final steps are not supported")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -516,10 +517,10 @@ CONTRACT = [
     # from t_final/dt = 5e8 on, the whole-number check passed every ratio: a
     # half step was dropped, and 1e301 steps ran without end
     ("test_cli_contract[step-count-too-large]", [*_RUN, "--set", "time.t_final=1e300"], {}, 2,
-     ["config error: time: t_final/dt = 1e+300/0.1 = 1e+301: the step count is too large"]),
+     ["config error: time: t_final/dt = 1e+300/0.1 = 1e+301 is not a positive integer below 5e8"]),
     ("test_cli_contract[half-step-past-5e8]",
      [*_RUN, *_sets("time.dt=1", "time.t_final=500000000.5")], {}, 2,
-     ["config error: time:", "= 500000000.5: the step count is too large to check"]),
+     ["config error: time:", "= 500000000.5 is not a positive integer below 5e8"]),
     # a slack of 1e-9 of the ratio took these for 1e8 and 4e8 whole steps
     *((f"test_cli_contract[tenth-step-at-{t_final}]",
        [*_RUN, *_sets("time.dt=1", f"time.t_final={t_final}")], {}, 2,
@@ -528,6 +529,10 @@ CONTRACT = [
     ("test_cli_contract[zero-mesh-size]",
      ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.25,0]"], {}, 2,
      ["config error: study_space: h = 0.0 does not tile the domain extent"]),
+    # 1e9 cells a side: the step-count rule's bound refuses it before any grid is built
+    ("test_cli_contract[mesh-size-past-5e8-cells]",
+     ["study-space", "--out", "out", "--set", "study_space.hs=[2e-9,1e-9,5e-10]"], {}, 2,
+     ["config error: study_space: h = 2e-09 does not tile the domain extent 2.0", "allocate"]),
     # ||b||^2 underflowed: the diffusion solve returned zeros and the run exited 3
     ("test_cli_contract[tiny-uniform-run]",
      ["run", *_sets("grid.n=8", "time.t_final=0.02",
@@ -563,7 +568,31 @@ CONTRACT = [
     # a 65.5 TiB grid ended in numpy's _ArrayMemoryError traceback
     ("test_cli_contract[grid-too-large-for-memory]", ["run", "--set", "grid.n=3000000"], {}, 2,
      ["invalid input: out of memory: "]),
+    # a study checks each grid against host memory before its first run (one whose
+    # grids fit the address space but not the host was killed without a message)
+    ("test_cli_contract[study-grid-too-large-for-memory]",
+     ["study-space", "--out", "out", "--set", "study_space.hs=[1e-6,5e-7,4e-7]"], {}, 2,
+     ["invalid input: out of memory: a run on 4000000000000 cells peaks near"]),
+    # huge rates whose products stay finite (checked in CI's console-script step too)
+    ("test_cli_contract[huge-rates-run]",
+     ["run", *_sets("grid.n=8", "time.t_final=0.02", "model.a_inf=1e200", "model.k_minus=1e200")],
+     {}, 0, []),
 ]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_RUN, "--set", "output.snapshot_every=1"],
+    ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.25,0.125]"],
+], ids=["run", "study-space"])
+def test_grid_too_large_for_host_memory(tmp_path, monkeypatch, capsys, argv):
+    # A host of one 4 KiB page: a run on the 8 x 8 grid peaks near 6 KiB.  The
+    # study's first grid (4 x 4) fits; its second is refused.
+    sysconf = os.sysconf
+    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+    check_contract(tmp_path, monkeypatch, capsys, argv, {}, 2,
+                   ["invalid input: out of memory: a run on 64 cells peaks near 5.72e-06 GiB, "
+                    "more than the host's 3.81e-06 GiB\n"])
 
 
 def _contract_test(rows):

@@ -268,7 +268,7 @@ def test_step_diffusion_refuses_a_non_positive_update(monkeypatch):
 
     def one_bad_cell(f, *args):
         u_next, report = solve(f, *args)
-        calls.append(f)
+        calls.append(report)
         if len(calls) == 2:
             values = u_next.values.copy()
             values.flat[5] = -1e-3
@@ -279,8 +279,10 @@ def test_step_diffusion_refuses_a_non_positive_update(monkeypatch):
     s = make_initial_condition(Grid.box(2, 8, -1.0, 1.0))
     with pytest.raises(PositivityError) as exc_info:
         step_diffusion(s, build_operators(s.grid, DiffusionCoeffs(0.05, 1.0, 0.1), 0.01))
-    message = str(exc_info.value)
-    assert "species b" in message and "cell 5" in message and "tighten" in message
+    # The refusal reports each species' solve, not advice on the tolerance.
+    residuals = ", ".join(f"{s} {r.final_relative_residual:.2g}" for s, r in zip("abc", calls))
+    assert str(exc_info.value) == (f"diffusion update (final CG relative residuals {residuals}): "
+                                   "species b is non-positive (-0.001) at cell 5")
 
 
 def test_step_diffusion_dissipates_energy():

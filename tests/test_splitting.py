@@ -47,11 +47,13 @@ def test_time_config():
     with pytest.raises(ValueError):
         TimeConfig(0.4, 0.2)  # zero steps
     assert TimeConfig(1.0, 4e8).steps == 400_000_000
-    with pytest.raises(ValueError, match="too large to check"):
-        TimeConfig(1.0, 500000000.5)  # refused as too large before it is checked as whole
-    for t_final in (100000000.1, 400000000.4):  # a slack of 1e-9 of the ratio dropped the tenth
-        with pytest.raises(ValueError, match="is not a positive integer"):
-            TimeConfig(1.0, t_final)
+    assert TimeConfig(1.0, 499999999.0).steps == 499_999_999
+    # One refusal: a slack of 1e-9 of the ratio dropped the tenths, and from
+    # 5e8 on the whole-number check once passed every ratio.
+    for dt, t_final in ((1.0, 100000000.1), (1.0, 400000000.4), (1.0, 5e8),
+                        (1.0, 500000000.5), (0.1, 1e300)):
+        with pytest.raises(ValueError, match="is not a positive integer below 5e8; partial"):
+            TimeConfig(dt, t_final)
     for dt, t_final in ((0.01, np.inf), (np.inf, 0.2), (np.nan, 0.2), (0.01, np.nan)):
         with pytest.raises(ValueError):
             TimeConfig(dt, t_final)

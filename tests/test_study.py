@@ -1,6 +1,7 @@
 """Order computation, cross-resolution comparison, and small study runs."""
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -186,3 +187,23 @@ def test_small_spatial_study_end_to_end():
     report = spatial_cauchy_order([0.2, 0.1, 2.0 / 30.0], 0.2, scene)
     assert report.kind == "spatial"
     assert len(report.errors) == 2 and len(report.orders) == 1
+
+
+
+@pytest.mark.parametrize("sysconf", [
+    {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2},  # 8 KiB; the 8 x 8 run peaks near 6 KiB
+    {"SC_PAGE_SIZE": -1, "SC_PHYS_PAGES": -1},  # sysconf's "indeterminate"
+    {},  # names the platform does not know: sysconf raises ValueError
+    None,  # no os.sysconf at all
+])
+def test_scene_grid_checks_host_memory_only_where_it_is_reported(monkeypatch, sysconf):
+    # The refusal itself is tests/test_cli.py::test_grid_too_large_for_host_memory.
+    if sysconf is None:
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        def fake(name):
+            if name not in sysconf:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return sysconf[name]
+        monkeypatch.setattr(os, "sysconf", fake)
+    assert benchmark_scene().grid(8) == Grid.box(2, 8, -1.0, 1.0)
