@@ -189,7 +189,6 @@ def test_small_spatial_study_end_to_end():
     assert len(report.errors) == 2 and len(report.orders) == 1
 
 
-
 @pytest.mark.parametrize("sysconf", [
     {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2},  # 8 KiB; the 8 x 8 run peaks near 6 KiB
     {"SC_PAGE_SIZE": -1, "SC_PHYS_PAGES": -1},  # sysconf's "indeterminate"
