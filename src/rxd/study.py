@@ -1,11 +1,12 @@
 """Convergence-order studies: temporal refinement and spatial Cauchy refinement.
 
-The temporal study runs the scheme at a sequence of step sizes on one grid
-and measures max-norm differences against a much finer reference step at
-the final time.  The spatial study has no reference: it compares solutions
-on consecutive mesh resolutions (interpolating the finer one to the coarse
-cell centers) and converts the difference ratios to an order with the
-correction factor
+The temporal study runs a much finer reference step first, then each step
+size on the same grid, and measures each final state's max-norm difference
+from the reference's.  The spatial study has no reference: it compares each
+mesh's solution with the previous, coarser one's, interpolating the finer
+to the coarse cell centers.  Neither holds more than one earlier final
+state beside a run.  Difference ratios become orders with the correction
+factor
 
     A* = (1 - h_j^2 / h_{j-1}^2) / (1 - h_{j+1}^2 / h_j^2),
 
@@ -18,11 +19,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
+from .diffusion import build_operators
 from .grid import DiffusionCoeffs, Field, Grid, ModelParams, State
 from .snapshots import format_float, write_csv
 from .splitting import (
@@ -37,8 +38,9 @@ STUDY_CSV_HEADER = "param,err_a,order_a,err_b,order_b,err_c,order_c"
 
 # A run's peak in float64 field sizes: tracemalloc on a checked paper-2d run
 # with a snapshot every step, initial condition included, gives 12.70 at
-# N = 256 and 12.18 at N = 512, i.e. 12.0 per field plus ~0.9 MB.  CG
-# iterations, which a constant D never reaches, add three (z, p, A p).
+# N = 256 and 12.18 at N = 512 (12.0 per field plus ~0.9 MB); a study, one
+# earlier final beside an unchecked run without snapshots, 10.66 at N = 256.
+# CG iterations, which a constant D never reaches, add three (z, p, A p).
 RUN_PEAK_FIELDS = 12
 
 
@@ -219,26 +221,13 @@ def compare_fields(coarse: Field, fine: Field) -> float:
     return float(np.max(np.abs(coarse.values - vals)))
 
 
-def _refine(kind: str, runs: list, pairs: list, orders_of: Callable, params: list,
-            scene: Scene) -> RefinementReport:
-    """Run every (grid, TimeConfig) in order, difference the finals of each (i, j) pair.
+def _final(initial: State, tc: TimeConfig, scene: Scene) -> State:
+    return run_simulation(initial, tc, scene.params, scene.coeffs, options=scene.options,
+                          diagnostics_every=0)[0]
 
-    Each pair gives one row of per-species :func:`compare_fields` differences
-    (the plain max-norm difference when the grids coincide); ``orders_of``
-    turns one species' column of differences into its orders.
-    """
-    finals = [run_simulation(scene.initial(g), tc, scene.params, scene.coeffs,
-                             options=scene.options, diagnostics_every=0)[0]
-              for g, tc in runs]
-    errors = [
-        tuple(
-            compare_fields(f, g)
-            for (_, f), (_, g) in zip(finals[i].species(), finals[j].species())
-        )
-        for i, j in pairs
-    ]
-    orders = list(zip(*(orders_of([e[s] for e in errors]) for s in range(3))))
-    return RefinementReport(kind, params, errors, orders)
+
+def _differences(coarse: State, fine: State) -> tuple[float, float, float]:
+    return tuple(compare_fields(f, g) for (_, f), (_, g) in zip(coarse.species(), fine.species()))
 
 
 def temporal_order(
@@ -261,11 +250,14 @@ def temporal_order(
         raise ValueError(f"repeated step sizes in {dts}")
     if not ref_dt < min(dts):
         raise ValueError(f"reference dt {ref_dt!r} must be below min(dts) = {min(dts)!r}")
-    runs = [(grid, TimeConfig(dt, t_final)) for dt in (*dts, ref_dt)]
-    return _refine(
-        "temporal", runs, [(i, len(dts)) for i in range(len(dts))],
-        partial(convergence_orders, dts), list(dts), scene,
-    )
+    *tcs, ref_tc = [TimeConfig(dt, t_final) for dt in (*dts, ref_dt)]
+    initial = scene.initial(grid)
+    # The largest dt overflows the preconditioner first: refuse it before the reference runs.
+    build_operators(grid, scene.coeffs, dts[0])
+    ref = _final(initial, ref_tc, scene)
+    errors = [_differences(_final(scene.initial(grid), tc, scene), ref) for tc in tcs]
+    orders = zip(*(convergence_orders(dts, col) for col in zip(*errors)))
+    return RefinementReport("temporal", dts, errors, list(orders))
 
 
 def spatial_cauchy_order(
@@ -292,8 +284,11 @@ def spatial_cauchy_order(
             raise ValueError(f"h = {h!r} does not tile the domain extent {extent!r} in a whole "
                              "number of cells, or only in too many to allocate")
         grids.append(scene.grid(n))
-    runs = [(g, TimeConfig(h * h, t_final)) for g, h in zip(grids, hs)]
-    return _refine(
-        "spatial", runs, [(j, j + 1) for j in range(len(hs) - 1)],
-        partial(cauchy_orders, hs), list(hs[1:]), scene,
-    )
+    tcs = [TimeConfig(h * h, t_final) for h in hs]
+    finals = (_final(scene.initial(g), tc, scene) for g, tc in zip(grids, tcs))
+    errors, coarse = [], next(finals)
+    for fine in finals:  # the older final is dropped once compared
+        errors.append(_differences(coarse, fine))
+        coarse = fine
+    orders = zip(*(cauchy_orders(hs, col) for col in zip(*errors)))
+    return RefinementReport("spatial", hs[1:], errors, list(orders))

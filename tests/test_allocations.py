@@ -8,6 +8,7 @@ handed to ``on_snapshot`` is copied before the next step.  So a stage's peak
 is only its own temporaries, and a run, which keeps one workspace for both
 stages, holds no stack of its own unless it takes snapshots; each test hands
 a stepping call a copy of the module's state, made before tracing starts.
+A study holds one earlier final state beside the run it is doing.
 The snapshot writer formats a fixed-size chunk at a time, so its peak does
 not grow with the field.
 """
@@ -19,7 +20,7 @@ import pytest
 
 from rxd import DiffusionCoeffs, Grid, ModelParams, SolverOptions, State, TimeConfig
 from rxd import discrete_energy, make_initial_condition, run_simulation, step_diffusion
-from rxd import step_reaction, write_field
+from rxd import benchmark_scene, step_reaction, temporal_order, write_field
 from rxd.diffusion import build_operators
 
 N = 256
@@ -122,6 +123,16 @@ def test_run_snapshot_peak(state):
         state, tc, ModelParams(1.0, 1.0, 1.0), coeffs, options, snapshot_every=1,
         on_snapshot=lambda k, s: None))
     assert peak <= 9.25, peak
+
+
+def test_temporal_study_peak():
+    # the reference's final (3) beside the next run: its state (3) and what
+    # test_run_peak measures (4.41); measured 10.42, where a study that kept
+    # every run's final until the last gave 13.42
+    scene = benchmark_scene()
+    grid = scene.grid(N)
+    peak = _peak_in_fields(lambda: temporal_order([0.02, 0.01], 0.005, grid, 0.02, scene))
+    assert peak <= 11.0, peak
 
 
 def test_snapshot_writer_peak_is_chunk_bounded(state, tmp_path):

@@ -506,6 +506,12 @@ CONTRACT = [
      ["study-time", "--out", "out", *_sets(UNIFORM, "study_time.n=8", "study_time.dts=[0.1,0.05]",
                                            "study_time.ref_dt=0.025")], {}, 2,
      ["config error: study_time:", "vanish"]),
+    # the temporal study runs its reference first, yet the largest dt, the first
+    # the preconditioner refuses, is refused before it: not a CG breakdown (3)
+    ("test_cli_contract[study-time-preconditioner-overflow]",
+     ["study-time", "--out", "out", *_sets("study_time.n=8", "study_time.dts=[0.1,0.05]",
+                                           "study_time.ref_dt=0.025", "diffusion.d_a=5e307")],
+     {}, 2, ["config error: study_time: diffusion coefficient too large for the preconditioner"]),
     ("test_cli_contract[study-space-equilibrium]",
      ["study-space", "--out", "out", *_sets(UNIFORM, "study_space.hs=[0.5,0.25,0.125]",
                                             "study_space.t_final=0.25")], {}, 2,

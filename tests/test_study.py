@@ -10,11 +10,13 @@ from rxd import (
     Field,
     Grid,
     RefinementReport,
+    TimeConfig,
     cauchy_a_star,
     cauchy_orders,
     compare_fields,
     convergence_orders,
     benchmark_scene,
+    run_simulation,
     spatial_cauchy_order,
     temporal_order,
 )
@@ -187,6 +189,35 @@ def test_small_spatial_study_end_to_end():
     report = spatial_cauchy_order([0.2, 0.1, 2.0 / 30.0], 0.2, scene)
     assert report.kind == "spatial"
     assert len(report.errors) == 2 and len(report.orders) == 1
+
+
+def _final(scene, grid, dt, t_final):
+    return run_simulation(scene.initial(grid), TimeConfig(dt, t_final), scene.params,
+                          scene.coeffs, scene.options, diagnostics_every=0)[0]
+
+
+def _differences(coarse, fine):
+    return tuple(compare_fields(f, g) for (_, f), (_, g) in zip(coarse.species(), fine.species()))
+
+
+def test_each_study_compares_the_right_runs():
+    # the finals of separate runs: each dt against the reference, and each
+    # mesh against the next finer one, coarse first; bitwise
+    scene = benchmark_scene()
+    grid = scene.grid(8)
+    ref = _final(scene, grid, 0.025, 0.2)
+    errors = [_differences(_final(scene, grid, dt, 0.2), ref) for dt in (0.1, 0.05)]
+    report = temporal_order([0.05, 0.1], 0.025, grid, 0.2, scene)
+    assert report.errors == errors
+    assert report.orders == list(zip(*(convergence_orders([0.1, 0.05], col)
+                                       for col in zip(*errors))))
+
+    hs = [0.5, 0.25, 0.125]
+    finals = [_final(scene, scene.grid(round(2.0 / h)), h * h, 0.25) for h in hs]
+    errors = [_differences(finals[j], finals[j + 1]) for j in range(2)]
+    report = spatial_cauchy_order([0.125, 0.5, 0.25], 0.25, scene)
+    assert report.errors == errors
+    assert report.orders == list(zip(*(cauchy_orders(hs, col) for col in zip(*errors))))
 
 
 @pytest.mark.parametrize("sysconf", [
