@@ -4,7 +4,7 @@ The scheme alternates an implicit cellwise reaction-trajectory solve with an
 implicit Euler diffusion solve on a cell-centered periodic grid.  Both stages
 dissipate the same logarithmic free energy and keep concentrations strictly
 positive, and the composition is first-order accurate in time and
-second-order in space.
+second-order in space.  The names imported here are the public API.
 """
 
 from .diffusion import build_operators, step_diffusion, step_diffusion_species
@@ -43,43 +43,5 @@ from .study import (
     spatial_cauchy_order,
     temporal_order,
 )
-
-__all__ = [
-    "ConvergenceError",
-    "DiffusionCoeffs",
-    "Field",
-    "Grid",
-    "ModelParams",
-    "PositivityError",
-    "RefinementReport",
-    "SolverOptions",
-    "State",
-    "TimeConfig",
-    "apply_variable_laplacian",
-    "cauchy_a_star",
-    "cauchy_orders",
-    "compare_fields",
-    "convergence_orders",
-    "discrete_energy",
-    "face_coefficient",
-    "full_step",
-    "inner_product",
-    "make_initial_condition",
-    "mean_value",
-    "norm_max",
-    "benchmark_initial_functions",
-    "benchmark_scene",
-    "build_operators",
-    "read_field",
-    "run_simulation",
-    "solve_reaction_cell",
-    "spatial_cauchy_order",
-    "step_diffusion",
-    "step_diffusion_species",
-    "step_reaction",
-    "temporal_order",
-    "write_diagnostics_csv",
-    "write_field",
-]
 
 __version__ = "0.1.0"

@@ -146,8 +146,11 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
          tol: float, max_iter: int) -> LinearSolveReport:
     """Spectrally preconditioned CG into ``x`` from x0 = M^-1 b; residual is relative to ||b||."""
     b_norm = math.sqrt(b.ravel().dot(b.ravel()))
-    if not _NORM_RANGE[0] <= b_norm <= _NORM_RANGE[1]:
+    if not _NORM_RANGE[0] <= b_norm <= _NORM_RANGE[1]:  # as is a non-finite b
         peak = float(np.max(np.abs(b)))
+        if not math.isfinite(peak):  # frexp would give exponent 0 and recurse forever
+            bad = int(np.flatnonzero(~np.isfinite(b.ravel()))[0])
+            raise ValueError(f"u_star has a non-finite value at cell {bad}")
         if peak == 0.0:
             x[...] = 0.0
             return LinearSolveReport(0, 0.0)
@@ -217,15 +220,12 @@ def step_diffusion_species(
     if op.grid != u_star.grid:
         raise ValueError(f"step_diffusion_species: u_star is on grid {u_star.grid}, "
                          f"its operator on {op.grid}")
-    if not np.all(np.isfinite(u_star.values)):
-        bad = int(np.flatnonzero(~np.isfinite(u_star.values.ravel()))[0])
-        raise ValueError(f"u_star has a non-finite value at cell {bad}")
     if out is not None and np.may_share_memory(out, u_star.values):
         raise ValueError("step_diffusion_species: out must not share memory with u_star")
     if max_iter is None:
         max_iter = 10 * u_star.grid.num_cells
     x = np.empty_like(u_star.values) if out is None else out
-    with np.errstate(over="ignore", invalid="ignore"):  # _pcg refuses what turns non-finite
+    with np.errstate(over="ignore", invalid="ignore"):  # _pcg refuses what is or turns non-finite
         report = _pcg(op, u_star.values, x, tol, max_iter)
     return Field(u_star.grid, x), report
 

@@ -36,12 +36,13 @@ from .splitting import (
 
 STUDY_CSV_HEADER = "param,err_a,order_a,err_b,order_b,err_c,order_c"
 
-# A run's peak in float64 field sizes: tracemalloc on a checked paper-2d run
-# with a snapshot every step, initial condition included, gives 12.70 at
-# N = 256 and 12.18 at N = 512 (12.0 per field plus ~0.9 MB); a study, one
-# earlier final beside an unchecked run without snapshots, 10.66 at N = 256.
-# CG iterations, which a constant D never reaches, add three (z, p, A p).
-RUN_PEAK_FIELDS = 12
+# A run's peak in float64 field sizes, one bound for every kind: tracemalloc
+# on checked runs with a snapshot every step and on temporal studies,
+# initial state included, gives 12.0 in 2D and 3D with constant D and 14.6
+# in 1D at 262,144 cells, where a constant D iterates CG; with a cosine D,
+# whose CG allocates z, p and A p, 15.1 (2D, N = 512), 15.6 (1D) and
+# 16.1-16.4 (3D, N = 64 and 40).
+RUN_PEAK_FIELDS = 17
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,6 @@ class RefinementReport:
             raise ValueError(f"refinement parameters must decrease: {self.params}")
         if any(e <= 0.0 for row in self.errors for e in row):
             raise ValueError("errors must be positive")
-
-    def all_orders(self) -> list[float]:
-        return [o for row in self.orders for o in row]
 
     def _rows(self):
         """(param, errors, orders) per row; orders start on the second row."""

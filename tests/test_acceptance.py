@@ -69,7 +69,7 @@ def test_criterion_1_temporal_convergence():
     report = temporal_order(
         [1.0 / 25, 1.0 / 50, 1.0 / 100, 1.0 / 200], 1.0 / 800, grid, 0.2, scene
     )
-    orders = report.all_orders()
+    orders = [o for row in report.orders for o in row]
     check(
         "1 temporal orders in [0.85, 1.35]",
         all(0.85 <= o <= 1.35 for o in orders),
@@ -82,7 +82,7 @@ def test_criterion_2_spatial_convergence():
     report = spatial_cauchy_order(
         [1.0 / 20, 1.0 / 30, 1.0 / 40, 1.0 / 50, 1.0 / 60], 0.2, scene
     )
-    orders = report.all_orders()
+    orders = [o for row in report.orders for o in row]
     check(
         "2 spatial A*-adjusted orders in [1.90, 2.10]",
         all(1.90 <= o <= 2.10 for o in orders),

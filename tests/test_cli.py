@@ -169,14 +169,6 @@ def test_help_exits_zero_with_usage_on_stdout(capsys, argv, usage):
     assert (exc.value.code, err) == (0, "") and out.startswith(usage), out
 
 
-def test_benchmark_config_file_is_the_defaults():
-    path = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
-    assert path.read_bytes() == canonical_config(default_config()).encode()
-    cfg = load_config(str(path))
-    for name in cfg:
-        _section(cfg, name)
-
-
 def test_integral_float_counts_are_accepted(tmp_path):
     assert run_cli(*fast_run_args(tmp_path, "--set", "grid.n=8.0")) == 0
 
@@ -586,19 +578,22 @@ CONTRACT = [
 ]
 
 
-@pytest.mark.parametrize("argv", [
-    [*_RUN, "--set", "output.snapshot_every=1"],
-    ["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.25,0.125]"],
-], ids=["run", "study-space"])
-def test_grid_too_large_for_host_memory(tmp_path, monkeypatch, capsys, argv):
-    # A host of one 4 KiB page: a run on the 8 x 8 grid peaks near 6 KiB.  The
-    # study's first grid (4 x 4) fits; its second is refused.
+@pytest.mark.parametrize("argv,pages,host", [
+    ([*_RUN, "--set", "output.snapshot_every=1"], 1, "3.81e-06"),
+    (["study-space", "--out", "out", "--set", "study_space.hs=[0.5,0.25,0.125]"], 1, "3.81e-06"),
+    ([*_RUN, "--set", "output.snapshot_every=1", "--set",
+      'diffusion.d_b={"profile":"cosine","base":1.0,"amplitude":0.9,"period":2.0}'], 2, "7.63e-06"),
+], ids=["run", "study-space", "cosine-run"])
+def test_grid_too_large_for_host_memory(tmp_path, monkeypatch, capsys, argv, pages, host):
+    # A host of 4 KiB pages: a run on the 8 x 8 grid peaks near 8.5 KiB, whatever
+    # its kind.  The study's first grid (4 x 4) fits in one page; its second is
+    # refused.  A cosine run, which iterates CG, is refused by 2 pages as well.
     sysconf = os.sysconf
-    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
     check_contract(tmp_path, monkeypatch, capsys, argv, {}, 2,
-                   ["invalid input: out of memory: a run on 64 cells peaks near 5.72e-06 GiB, "
-                    "more than the host's 3.81e-06 GiB\n"])
+                   ["invalid input: out of memory: a run on 64 cells peaks near 8.11e-06 GiB, "
+                    f"more than the host's {host} GiB\n"])
 
 
 def _contract_test(rows):

@@ -1,5 +1,7 @@
 """Implicit Euler diffusion solves and their conservation/stability properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,10 +246,33 @@ def test_step_diffusion_species_refuses_bad_input():
             _op(g, 1.0, dt)
         with pytest.raises(PositivityError, match="dt must be positive"):
             build_operators(g, DiffusionCoeffs(0.05, 1.0, 0.1), dt)
-    values = np.ones(g.shape)
-    values.flat[11] = np.inf
-    with pytest.raises(ValueError, match="non-finite value at cell 11"):
-        step_diffusion_species(Field(g, values), _op(g, 1.0, 0.1))
+    # A non-finite u* makes the solve's b.b NaN or inf, and the solve refuses
+    # it before any arithmetic on it could warn; the first such cell is named.
+    for d in (1.0, lambda x, *rest: 1.0 + 0.9 * np.cos(np.pi * x)):
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.ones(g.shape)
+            values.flat[[11, 20]] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^u_star has a non-finite value at cell 11$"):
+                    step_diffusion_species(Field(g, values), _op(g, d, 0.1))
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    (np.nan, PositivityError, r"^step_diffusion input: species b is non-positive \(nan\) at cell 11$"),
+    (np.inf, ValueError, r"^u_star has a non-finite value at cell 11$"),
+], ids=["nan", "inf"])
+def test_step_diffusion_refuses_a_non_finite_input(bad, error, message):
+    # The positivity check of the input sees a NaN first; +inf passes it, and
+    # the species solve refuses it.
+    g = Grid.box(2, 8)
+    state = State.from_stack(g, np.ones((3, *g.shape)), 0.0)
+    state.u[1].flat[11] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message) as exc:
+            step_diffusion(state, build_operators(g, DiffusionCoeffs(0.05, 1.0, 0.1), 0.1))
+    assert exc.type is error
 
 
 def test_cg_breakdown_raises_instead_of_dividing():

@@ -180,7 +180,7 @@ def test_small_temporal_study_end_to_end():
     assert len(report.errors) == 2 and len(report.orders) == 1
     assert all(e > 0 for row in report.errors for e in row)
     # first-order-in-time scheme: coarse observed orders are near 1
-    assert all(0.5 <= o <= 1.6 for o in report.all_orders())
+    assert all(0.5 <= o <= 1.6 for o in [o for row in report.orders for o in row])
 
 
 def test_small_spatial_study_end_to_end():
@@ -221,7 +221,7 @@ def test_each_study_compares_the_right_runs():
 
 
 @pytest.mark.parametrize("sysconf", [
-    {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2},  # 8 KiB; the 8 x 8 run peaks near 6 KiB
+    {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3},  # 12 KiB; the 8 x 8 run peaks near 8.5 KiB
     {"SC_PAGE_SIZE": -1, "SC_PHYS_PAGES": -1},  # sysconf's "indeterminate"
     {},  # names the platform does not know: sysconf raises ValueError
     None,  # no os.sysconf at all

@@ -1,17 +1,21 @@
-"""Run the eight byte-identity reference runs and keep everything they produce.
+"""Run the ten byte-identity reference runs and keep everything they produce.
 
     python tools/reference_runs.py OUT_DIR
 
 Each run goes through ``python -m rxd.cli`` with ``PYTHONPATH`` set to this
 tree's ``src``.  Run ``NAME`` writes its output files to ``OUT_DIR/NAME/out``
 and its stdout, stderr and exit code to ``OUT_DIR/NAME/stdout``,
-``stderr`` and ``exit_code``.  Two trees made from two checkouts are then
-compared with one ``diff -r``.  OUT_DIR must not exist yet.
+``stderr`` and ``exit_code``.  The 1D and 3D runs start from snapshots that
+this script writes to ``OUT_DIR/NAME/in`` from a closed form, as ``repr``
+floats, so their inputs do not depend on the tree.  Two trees made from two
+checkouts are then compared with one ``diff -r``.  OUT_DIR must not exist yet.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +32,26 @@ def _cosine(amplitude: float) -> str:
     return f'{{"profile":"cosine","amplitude":{amplitude}}}'
 
 
+def _write_inputs(run_dir: Path, dim: int, n: int) -> None:
+    """Snapshots a, b, c at t = 0 on the n^dim cells of (-1, 1)^dim, x fastest."""
+    centres = [-1.0 + (i + 0.5) * (2.0 / n) for i in range(n)]
+    # product() varies its last entry fastest, so p[::-1] is (x, y, z)
+    s = [sum(w * math.cos(math.pi * x + k)
+             for k, (w, x) in enumerate(zip((0.5, 0.3, 0.2), p[::-1])))
+         for p in itertools.product(centres, repeat=dim)]
+    lower, upper = ",".join(["-1"] * dim), ",".join(["1"] * dim)
+    header = f"rxd-field v1\ndim={dim} n={n} lower={lower} upper={upper} t=0\n"
+    (run_dir / "in").mkdir()
+    for name, (base, slope) in zip("abc", ((1.0, 0.5), (1.0, -0.5), (0.5, 0.25))):
+        values = "".join(f"{base + slope * v!r}\n" for v in s)
+        (run_dir / "in" / f"{name}.txt").write_text(header + values)
+
+
+# (dim, n) of the runs that start from the inputs above
+INPUTS = {"run-1d-cosine": (1, 256), "run-3d-cosine": (3, 12)}
+_FROM_INPUTS = "initial=" + json.dumps({"kind": "snapshot",
+                                        **{name: f"in/{name}.txt" for name in "abc"}})
+
 RUNS = {
     "run-default": ["run"],
     "run-n32-snapshots": ["run", *_sets("grid.n=32", "output.snapshot_every=5")],
@@ -43,6 +67,11 @@ RUNS = {
                                   f"diffusion.d_c={_cosine(0.5)}")],
     "run-odd-n63-cosine": ["run", *_sets("grid.n=63", f"diffusion.d_b={_cosine(0.9)}",
                                          "output.snapshot_every=5")],
+    **{name: ["run", *_sets(f"grid.dim={dim}", f"grid.lower={[-1.0] * dim}",
+                            f"grid.upper={[1.0] * dim}", f"grid.n={n}",
+                            f"diffusion.d_b={_cosine(0.9)}", "output.snapshot_every=5",
+                            _FROM_INPUTS)]
+       for name, (dim, n) in INPUTS.items()},
 }
 
 
@@ -59,6 +88,8 @@ def main(argv: list[str]) -> int:
     for name, args in RUNS.items():
         run_dir = root / name
         run_dir.mkdir()
+        if name in INPUTS:
+            _write_inputs(run_dir, *INPUTS[name])
         done = subprocess.run([sys.executable, "-m", "rxd.cli", *args, "--out", "out"],
                               cwd=run_dir, env=env, capture_output=True)
         (run_dir / "stdout").write_bytes(done.stdout)
