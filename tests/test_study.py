@@ -180,7 +180,7 @@ def test_small_temporal_study_end_to_end():
     assert len(report.errors) == 2 and len(report.orders) == 1
     assert all(e > 0 for row in report.errors for e in row)
     # first-order-in-time scheme: coarse observed orders are near 1
-    assert all(0.5 <= o <= 1.6 for o in [o for row in report.orders for o in row])
+    assert all(0.5 <= o <= 1.6 for row in report.orders for o in row)
 
 
 def test_small_spatial_study_end_to_end():
