@@ -8,9 +8,9 @@ Subcommands:
 * ``study-space``  spatial Cauchy study; writes ``spatial_orders.csv``.
 * ``inspect``      print the header and min/max/mean of a field snapshot.
 
-A config is a single JSON file whose sections deep-merge over the built-in
-defaults (see ``default_config``), so partial configs are fine.  Any value
-can be overridden on the command line with ``--set section.key=value``
+A config is a single JSON file whose sections merge key by key over the
+built-in defaults (see ``default_config``), so partial configs are fine.
+Any value can be overridden on the command line with ``--set section.key=value``
 (repeatable; values are parsed as JSON, falling back to plain strings).
 One table, ``_CONFIG``, gives every key its default and its parser; unknown
 sections and keys, and values of the wrong type, are config errors.
@@ -103,8 +103,8 @@ def _coefficient(spec) -> Coefficient:
     base, amplitude, period = (_number(spec.get(k, d)) for k, d in _COSINE_DEFAULTS.items())
     if base <= 0 or not abs(amplitude) < 1 or period <= 0:
         raise ValueError("a cosine profile needs base > 0, |amplitude| < 1, period > 0")
-    if not math.isfinite(2.0 * base):
-        raise ValueError("a cosine profile needs 2*base finite")
+    if not (base * (1.0 - abs(amplitude)) > 0 and math.isfinite(2.0 * base)):  # min and max of D
+        raise ValueError("a cosine profile needs base * (1 - |amplitude|) > 0 and 2*base finite")
     return partial(_cosine, base=base, amplitude=amplitude, period=period)
 
 
@@ -147,16 +147,6 @@ def default_config() -> dict:
             for name, keys in _CONFIG.items()}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 def load_config(path: Optional[str]) -> dict:
     """Read a JSON config and merge it over the defaults; None means defaults."""
     cfg = default_config()
@@ -171,7 +161,10 @@ def load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    return _deep_merge(cfg, user)
+    # One section deep: no default is a dict, and _section refuses what is not a section.
+    for name, sec in user.items():
+        cfg[name] = {**cfg[name], **sec} if name in cfg and isinstance(sec, dict) else sec
+    return cfg
 
 
 def apply_overrides(cfg: dict, assignments: list[str]) -> dict:

@@ -118,11 +118,6 @@ class _ImplicitDiffusionOperator:
         np.multiply(out, self.dt, out=out)
         return np.subtract(v, out, out=out)
 
-    def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``b - (x - dt * div_grad(x))``, into the workspace's ``res``."""
-        r = self.apply(x, self.work.res)
-        return np.subtract(b, r, out=r)
-
     def precondition(self, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply M^-1, the inverse of the operator at mean face coefficients.
 
@@ -142,26 +137,58 @@ class _ImplicitDiffusionOperator:
         return np.fft.irfft(spec, n=r.shape[-1], axis=-1, out=out)
 
 
-def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
-         tol: float, max_iter: int) -> LinearSolveReport:
-    """Spectrally preconditioned CG into ``x`` from x0 = M^-1 b; residual is relative to ||b||."""
+def build_operators(grid, coeffs: DiffusionCoeffs,
+                    dt: float) -> tuple[_ImplicitDiffusionOperator, ...]:
+    """The implicit operators of species a, b and c for one grid and dt, over one workspace.
+
+    They are the whole description of a run's diffusion stage: D, dt, the
+    grid and the scratch that both stages share.
+    """
+    work = _Workspace(grid.shape)
+    return tuple(_ImplicitDiffusionOperator(grid, d, dt, work)
+                 for d in (coeffs.d_a, coeffs.d_b, coeffs.d_c))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # what is or turns non-finite is refused
+def step_diffusion_species(
+    u_star: Field,
+    op: _ImplicitDiffusionOperator,
+    tol: float = DEFAULT_TOL,
+    max_iter: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
+) -> tuple[Field, LinearSolveReport]:
+    """Implicit Euler update of one species: solve (I - dt div(D grad)) u = u*.
+
+    ``op`` is the species' operator from :func:`build_operators`, which
+    holds D and dt; u* must lie on its grid.  The solution is written into
+    ``out`` (a new array when None, sharing no memory with u*).  The solve is
+    spectrally preconditioned CG from x0 = M^-1 u*, its residual relative to ||u*||.
+    """
+    if op.grid != u_star.grid:
+        raise ValueError(f"step_diffusion_species: u_star is on grid {u_star.grid}, "
+                         f"its operator on {op.grid}")
+    if out is not None and np.may_share_memory(out, u_star.values):
+        raise ValueError("step_diffusion_species: out must not share memory with u_star")
+    if max_iter is None:
+        max_iter = 10 * u_star.grid.num_cells
+    b, e = u_star.values, 0
+    x = np.empty_like(b) if out is None else out
     b_norm = math.sqrt(b.ravel().dot(b.ravel()))
     if not _NORM_RANGE[0] <= b_norm <= _NORM_RANGE[1]:  # as is a non-finite b
         peak = float(np.max(np.abs(b)))
-        if not math.isfinite(peak):  # frexp would give exponent 0 and recurse forever
+        if not math.isfinite(peak):
             bad = int(np.flatnonzero(~np.isfinite(b.ravel()))[0])
             raise ValueError(f"u_star has a non-finite value at cell {bad}")
         if peak == 0.0:
             x[...] = 0.0
-            return LinearSolveReport(0, 0.0)
-        # 2^-e moves the largest |b| to [1/2, 1); as a double it would overflow
-        # for a subnormal peak, so the arrays are scaled by the exponent.
+            return Field(u_star.grid, x), LinearSolveReport(0, 0.0)
+        # 2^-e moves the largest |b| to [1/2, 1), so ||b|| lies in the range; as a
+        # double 2^-e would overflow for a subnormal peak, so b is scaled by the exponent.
         e = math.frexp(peak)[1]
-        report = _pcg(op, np.ldexp(b, -e), x, tol, max_iter)
-        np.ldexp(x, e, out=x)
-        return report
+        b = np.ldexp(b, -e)
+        b_norm = math.sqrt(b.ravel().dot(b.ravel()))
     op.precondition(b, x)
-    r = op.residual(b, x)
+    r = np.subtract(b, op.apply(x, op.work.res), out=op.work.res)
     rel = math.sqrt(r.ravel().dot(r.ravel())) / b_norm
     iterations = 0
     while not rel <= tol:  # a NaN residual enters the loop, to be refused
@@ -189,45 +216,9 @@ def _pcg(op: _ImplicitDiffusionOperator, b: np.ndarray, x: np.ndarray,
         r -= np.multiply(ap, alpha, out=z)
         rel = math.sqrt(r.ravel().dot(r.ravel())) / b_norm
         iterations += 1
-    return LinearSolveReport(iterations, rel)
-
-
-def build_operators(grid, coeffs: DiffusionCoeffs,
-                    dt: float) -> tuple[_ImplicitDiffusionOperator, ...]:
-    """The implicit operators of species a, b and c for one grid and dt, over one workspace.
-
-    They are the whole description of a run's diffusion stage: D, dt, the
-    grid and the scratch that both stages share.
-    """
-    work = _Workspace(grid.shape)
-    return tuple(_ImplicitDiffusionOperator(grid, d, dt, work)
-                 for d in (coeffs.d_a, coeffs.d_b, coeffs.d_c))
-
-
-def step_diffusion_species(
-    u_star: Field,
-    op: _ImplicitDiffusionOperator,
-    tol: float = DEFAULT_TOL,
-    max_iter: Optional[int] = None,
-    out: Optional[np.ndarray] = None,
-) -> tuple[Field, LinearSolveReport]:
-    """Implicit Euler update of one species: solve (I - dt div(D grad)) u = u*.
-
-    ``op`` is the species' operator from :func:`build_operators`, which
-    holds D and dt; u* must lie on its grid.  The solution is written into
-    ``out`` (a new array when None, sharing no memory with u*).
-    """
-    if op.grid != u_star.grid:
-        raise ValueError(f"step_diffusion_species: u_star is on grid {u_star.grid}, "
-                         f"its operator on {op.grid}")
-    if out is not None and np.may_share_memory(out, u_star.values):
-        raise ValueError("step_diffusion_species: out must not share memory with u_star")
-    if max_iter is None:
-        max_iter = 10 * u_star.grid.num_cells
-    x = np.empty_like(u_star.values) if out is None else out
-    with np.errstate(over="ignore", invalid="ignore"):  # _pcg refuses what is or turns non-finite
-        report = _pcg(op, u_star.values, x, tol, max_iter)
-    return Field(u_star.grid, x), report
+    if e:
+        np.ldexp(x, e, out=x)
+    return Field(u_star.grid, x), LinearSolveReport(iterations, rel)
 
 
 def step_diffusion(

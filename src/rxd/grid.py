@@ -295,13 +295,19 @@ def discrete_energy(state: State, params: ModelParams) -> float:
     # One scratch row takes the steps of v * (ln(v / ref) - 1) in turn, in
     # their order, so it gives the bits of the plain expression.
     w = np.empty_like(state.u[0])
-    # an overflowing ratio (tiny x_inf) is an infinite energy, which callers refuse
-    with np.errstate(over="ignore"):
+    # An overflowing ratio (tiny x_inf) is an infinite energy, which callers refuse;
+    # one that underflows to 0 makes its term, and the sum, -inf: ln v - ln x_inf there.
+    with np.errstate(over="ignore", divide="ignore"):
         for v, ref in zip(state.u, refs):
             np.divide(v, ref, out=w)
             np.log(w, out=w)
             np.subtract(w, 1.0, out=w)
-            total += float(np.sum(np.multiply(v, w, out=w)))
+            term = float(np.sum(np.multiply(v, w, out=w)))
+            if term == -math.inf:
+                low = w == -math.inf
+                w[low] = v[low] * ((np.log(v[low]) - math.log(ref)) - 1.0)
+                term = float(np.sum(w))
+            total += term
     return state.grid.cell_volume * total
 
 

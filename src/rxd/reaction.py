@@ -52,16 +52,24 @@ BLOCK = 8192
 _TINY = float(np.nextafter(0.0, 1.0))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # the non-finite G are redone
 def _residual(r, a, b, c, cdt, p: ModelParams, out=None, tmp=None):
-    """G(R) into ``out`` with scratch ``tmp`` (new arrays when None); R / cdt finite or not."""
-    with np.errstate(over="ignore"):
-        ratio = np.log1p(np.divide(r, cdt, out=out), out=out)
-    if ratio.max() == np.inf:
-        over = np.isinf(ratio)
-        ratio[over] = np.log(r[over]) - np.log(cdt[over])
+    """G(R) into ``out`` with scratch ``tmp`` (new arrays when None).
+
+    Where G is not finite, each term whose ratio x / ref over- or underflowed is ln x - ln ref.
+    """
+    ratio = np.log1p(np.divide(r, cdt, out=out), out=out)
     # ((ratio - ln((a - r)/a_inf)) - ln((b - r)/b_inf)) + ln((c + r)/c_inf)
     for op, x, ref in ((np.subtract, a, p.a_inf), (np.subtract, b, p.b_inf), (np.add, c, p.c_inf)):
         ratio = op(ratio, np.log(np.divide(op(x, r, out=tmp), ref, out=tmp), out=tmp), out=ratio)
+    if not np.isfinite(np.sum(ratio)):
+        bad = ~np.isfinite(ratio)
+        rb = np.broadcast_to(r, ratio.shape)[bad]
+        xs = (rb, a[bad] - rb, b[bad] - rb, c[bad] + rb)
+        refs = (cdt[bad], p.a_inf, p.b_inf, p.c_inf)
+        t = [log(x / y) for log, x, y in zip((np.log1p, np.log, np.log, np.log), xs, refs)]
+        t = [np.where(np.isfinite(u), u, np.log(x) - np.log(y)) for u, x, y in zip(t, xs, refs)]
+        ratio[bad] = ((t[0] - t[1]) - t[2]) + t[3]
     return ratio
 
 

@@ -123,13 +123,18 @@ def exact_trajectory_sign(r, a, b, c, cdt, a_inf=1.0, b_inf=1.0, c_inf=1.0) -> i
 
 
 def reaction_residual_plain(r, a, b, c, cdt, p):
-    """The solve's G(R) at ``cdt`` = k- c dt, as plain expressions; R / cdt may overflow."""
-    with np.errstate(over="ignore"):
-        ratio = np.log1p(r / cdt)
-    if ratio.max() == np.inf:
-        over = np.isinf(ratio)
-        ratio[over] = np.log(r[over]) - np.log(cdt[over])
-    return ratio - np.log((a - r) / p.a_inf) - np.log((b - r) / p.b_inf) + np.log((c + r) / p.c_inf)
+    """The solve's G(R) at ``cdt`` = k- c dt, as plain expressions.
+
+    Each term is log(x / ref), or ln x - ln ref where that over- or underflows.
+    """
+    r = np.broadcast_to(r, a.shape)
+    terms = []
+    for log, x, ref in ((np.log1p, r, cdt), (np.log, a - r, p.a_inf), (np.log, b - r, p.b_inf),
+                        (np.log, c + r, p.c_inf)):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = log(x / ref)
+            terms.append(np.where(np.isfinite(t), t, np.log(x) - np.log(ref)))
+    return terms[0] - terms[1] - terms[2] + terms[3]
 
 
 def reaction_solve_plain(a, b, c, dt, p, tol: float, max_iter: int):

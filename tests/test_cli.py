@@ -318,6 +318,7 @@ def _one_uniform_step(dt, a, b, c):
                           "initial=" + json.dumps({"kind": "uniform", "a": a, "b": b, "c": c}))]
 
 
+_UNDERFLOW_UNIFORM = 'initial={"kind":"uniform","a":1e-320,"b":1,"c":1}'
 _TOP_UNIFORM = 'initial={{"kind":"uniform","a":1e308,"b":1e308,"c":{c}}}'
 _PAPER_FIELDS = [f for _, f in make_initial_condition(Grid.box(2, 8, -1.0, 1.0)).species()]
 _HEADER = "rxd-field v1\ndim=1 n=2 lower=0 upper=1 t=0"
@@ -571,6 +572,20 @@ CONTRACT = [
     ("test_cli_contract[study-grid-too-large-for-memory]",
      ["study-space", "--out", "out", "--set", "study_space.hs=[1e-6,5e-7,4e-7]"], {}, 2,
      ["invalid input: out of memory: a run on 4000000000000 cells peaks near"]),
+    # a / a_inf underflows to 0: the energy was -inf (exit 3 when checked) and
+    # G was -inf, each with a RuntimeWarning
+    *((f"test_cli_contract[underflowing-ratio-{mode[2:]}-run]",
+       ["run", mode, *_sets("grid.n=4", "time.t_final=0.02", "model.a_inf=1e10",
+                            "model.k_minus=1e10", _UNDERFLOW_UNIFORM)], {}, 0, [])
+      for mode in ("--checked", "--unchecked")),
+    # a cosine D whose minimum underflows to 0 was a solver failure (3); a constant
+    # D of 5e-324 runs
+    ("test_cli_contract[cosine-minimum-underflows]",
+     ["run", *_sets("grid.n=4", "time.t_final=0.02",
+                    'diffusion.d_a={"profile":"cosine","base":5e-324,"amplitude":0.9}')], {}, 2,
+     ["config error: diffusion.d_a: ", "base * (1 - |amplitude|) > 0"]),
+    ("test_cli_contract[subnormal-constant-diffusion]",
+     ["run", *_sets("grid.n=4", "time.t_final=0.02", "diffusion.d_a=5e-324")], {}, 0, []),
     # huge rates whose products stay finite (checked in CI's console-script step too)
     ("test_cli_contract[huge-rates-run]",
      ["run", *_sets("grid.n=8", "time.t_final=0.02", "model.a_inf=1e200", "model.k_minus=1e200")],

@@ -202,6 +202,14 @@ def test_discrete_energy_rejects_nonpositive_cells():
         discrete_energy(s, p)
 
 
+@pytest.mark.filterwarnings("error")
+def test_discrete_energy_of_a_ratio_that_underflows():
+    # a / a_inf = 1e-330 is 0 as a double: its logarithm was -inf, and so was
+    # the energy.  Computed as ln a - ln a_inf, the a term is about -7.6e-318.
+    state = State.uniform(Grid.box(2, 4), 1e-320, 1.0, 1.0)
+    assert discrete_energy(state, ModelParams(1e10, 1.0, 1.0, 1.0, 1e10)) == -2.0
+
+
 def test_energy_minimized_at_reference_state():
     # Over uniform states the energy has its minimum at (1, 1, 1) when all
     # reference concentrations are 1.

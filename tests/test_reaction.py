@@ -228,6 +228,27 @@ def test_solve_through_workspace_rows_matches_plain_expressions(shape, dt, param
             assert np.isinf(got[0].flat[3] / (params.k_minus * 1e-5 * 1e-310))
 
 
+@pytest.mark.parametrize("rates", [(1e10, 1.0, 1.0, 1.0, 1e10), (1e-10, 1e-10, 1e10, 1e30, 1.0)])
+def test_ratios_that_leave_the_double_range_are_differences_of_logarithms(rates):
+    # x / x_inf underflows to 0 or overflows in some terms of G: G was +-inf
+    # there, with a RuntimeWarning, and such cells were accepted at |G| = inf.
+    rng = np.random.default_rng(11)
+    a, b, c, dt = 10.0 ** rng.uniform(-320.0, 6.0, (4, 3000))
+    params = ModelParams(*rates)
+    got = _solve_field(a, b, c, dt, params, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    want = reaction_solve_plain(a, b, c, dt, params, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2] < np.inf
+    cdt = np.maximum(params.k_minus * c * dt, np.nextafter(0.0, 1.0))
+    with np.errstate(divide="ignore"):
+        assert (a / params.a_inf == 0.0).any() or (c / params.c_inf == 0.0).any()
+    g = reaction._residual(got[0], a, b, c, cdt, params)
+    np.testing.assert_array_equal(
+        g.view(np.uint64), reaction_residual_plain(got[0], a, b, c, cdt, params).view(np.uint64))
+    assert np.isfinite(g).all()
+
+
 def test_foreign_workspace_is_refused(monkeypatch):
     # Rows that would drop cells are refused before any row of the stack is
     # written: from a smaller grid's workspace, or sized for a smaller BLOCK.

@@ -26,6 +26,10 @@ sweeps are:
   in [1e-320, 1], unit parameters.  a + c and b + c stay below the largest
   double, so every step is representable, while the polish's G * m can
   overflow.
+- ``tiny rates=...``: 50,000 cells each with a, b, c log-uniform in
+  [1e-320, 1e6] and dt in [1e-320, 1e6], for two detailed-balance rate sets
+  with a_inf or c_inf = 1e10, so that (a - R) / a_inf or (c + R) / c_inf
+  underflows to 0 in some cells.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 RATES = [(1.0, 1.0, 1.0, 1.0, 1.0), (2.0, 0.5, 1.5, 1.5, 1.0), (1.0, 1.0, 1.0, 2.0, 2.0)]
+TINY_RATES = [(1e10, 1.0, 1.0, 1.0, 1e10), (1e-10, 1e-10, 1e10, 1e30, 1.0)]
 
 
 def _log_uniform(rng, low, high, shape):
@@ -59,6 +64,10 @@ def sweeps():
     yield "huge", a, b, c, _log_uniform(rng, 1e-320, 1e-3, 200_000), RATES[0]
     a, b, c = _log_uniform(rng, 1e300, 5e307, (3, 50_000))
     yield "top", a, b, c, _log_uniform(rng, 1e-320, 1.0, 50_000), RATES[0]
+    for rates in TINY_RATES:
+        a, b, c = _log_uniform(rng, 1e-320, 1e6, (3, 50_000))
+        dt = _log_uniform(rng, 1e-320, 1e6, 50_000)
+        yield f"tiny rates={','.join(f'{v:g}' for v in rates)}", a, b, c, dt, rates
 
 
 def main(argv: list[str]) -> int:
